@@ -165,7 +165,7 @@ CheckScenario::CheckScenario(const ScenarioConfig& config) : config_(config) {
     request.id = i + 1;
     request.kind = replica::RequestKind::Write;
     request.key = keys[i % keys.size()];
-    request.value = "v" + std::to_string(i + 1);
+    request.value = std::string("v").append(std::to_string(i + 1));
     request.origin = static_cast<net::NodeId>(i % config.servers);
     request.submitted = config.agent_stagger * static_cast<std::int64_t>(i);
     if (request.submitted == sim::SimTime::zero()) {

@@ -41,16 +41,68 @@ std::uint32_t total_votes(const VoteWeights& votes, std::size_t n_servers) {
   return total;
 }
 
+namespace {
+
+/// One agent's share of the filtered list heads.
+struct HeadTally {
+  agent::AgentId id;
+  std::uint32_t votes = 0;
+};
+
+/// The one pass behind every priority rule: the filtered head of each known
+/// list, tallied per agent (weighted by the list's votes) and returned
+/// ascending by id, plus how many lists have a known, non-empty head. Heads
+/// are few (a handful of competing agents), so the tally is a small vector.
+std::size_t tally_heads(const LockTable& table, const DoneSet& done,
+                        const VoteWeights& votes, std::vector<HeadTally>& tally) {
+  tally.clear();
+  std::size_t known_heads = 0;
+  for (const auto& [node, snapshot] : table) {
+    if (!snapshot.known()) continue;
+    const auto head = filtered_head(snapshot.agents, done);
+    if (!head) continue;
+    ++known_heads;
+    const std::uint32_t weight = vote_of(votes, node);
+    auto it = std::find_if(tally.begin(), tally.end(),
+                           [&](const HeadTally& t) { return t.id == *head; });
+    if (it == tally.end()) {
+      tally.push_back({*head, weight});
+    } else {
+      it->votes += weight;
+    }
+  }
+  std::sort(tally.begin(), tally.end(),
+            [](const HeadTally& a, const HeadTally& b) { return a.id < b.id; });
+  return known_heads;
+}
+
+}  // namespace
+
+void serialize_done_set(serial::Writer& w, const DoneSet& done) {
+  w.varint(done.size());
+  for (const agent::AgentId& id : done) id.serialize(w);
+}
+
+DoneSet deserialize_done_set(serial::Reader& r) {
+  // An AgentId is three varints: at least three bytes on the wire.
+  const std::uint64_t n = r.length_prefix(3);
+  DoneSet done;
+  done.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (!done.push_back_ascending(agent::AgentId::deserialize(r))) {
+      throw serial::MalformedError("UAL not strictly ascending");
+    }
+  }
+  return done;
+}
+
 std::map<agent::AgentId, std::uint32_t> top_counts(const LockTable& table,
                                                    const DoneSet& done,
                                                    const VoteWeights& votes) {
+  std::vector<HeadTally> tally;
+  tally_heads(table, done, votes, tally);
   std::map<agent::AgentId, std::uint32_t> counts;
-  for (const auto& [node, snapshot] : table) {
-    if (!snapshot.known()) continue;
-    if (auto head = filtered_head(snapshot.agents, done)) {
-      counts[*head] += vote_of(votes, node);
-    }
-  }
+  for (const HeadTally& t : tally) counts.emplace_hint(counts.end(), t.id, t.votes);
   return counts;
 }
 
@@ -80,16 +132,26 @@ Decision decide_geometry(const LockTable& table, const DoneSet& done,
                          const agent::AgentId& self, TieBreakMode /*mode*/,
                          ProtocolMutant mutant,
                          const quorum::QuorumSystem& qs) {
-  std::map<agent::AgentId, quorum::NodeSet> head_sets;
+  // One pass: (filtered head, server) per known list. The table iterates
+  // servers ascending and the sort is stable, so each head's servers stay a
+  // sorted NodeSet.
+  std::vector<std::pair<agent::AgentId, net::NodeId>> heads;
+  heads.reserve(table.size());
   quorum::NodeSet known;
   for (const auto& [node, snapshot] : table) {
     if (!snapshot.known()) continue;
     if (auto head = filtered_head(snapshot.agents, done)) {
-      head_sets[*head].push_back(node);
+      heads.emplace_back(*head, node);
       known.push_back(node);
     }
   }
-  // LockTable iterates nodes ascending, so every NodeSet is already sorted.
+  std::stable_sort(heads.begin(), heads.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::pair<agent::AgentId, quorum::NodeSet>> head_sets;
+  for (const auto& [id, node] : heads) {
+    if (head_sets.empty() || head_sets.back().first != id) head_sets.push_back({id, {}});
+    head_sets.back().second.push_back(node);
+  }
   for (const auto& [id, nodes] : head_sets) {
     if (mutant_write_covered(qs, nodes, mutant)) {
       return {id == self ? Decision::Kind::Win : Decision::Kind::Lose, id};
@@ -149,45 +211,48 @@ Decision decide(const LockTable& table, const DoneSet& done,
   if (quorum != nullptr && quorum->geometry() != quorum::Geometry::Majority) {
     return decide_geometry(table, done, self, mode, mutant, *quorum);
   }
-  const auto counts = top_counts(table, done, votes);
+  // Reused across calls: decide() runs on every visit and lock-change
+  // signal, and the tally is the only scratch space it needs.
+  thread_local std::vector<HeadTally> counts;
+  const std::size_t known_heads = tally_heads(table, done, votes, counts);
   const std::uint32_t all_votes = total_votes(votes, n_servers);
 
   // Majority rule: heading lists worth more than half the votes wins.
   // The MajorityOffByOne mutant lowers the bar to ⌈(V−1)/2⌉ — with three
   // one-vote servers a single list head "wins" (checker must catch this).
-  for (const auto& [id, count] : counts) {
+  for (const HeadTally& t : counts) {
     const bool wins = mutant == ProtocolMutant::MajorityOffByOne
-                          ? 2 * count >= all_votes - 1
-                          : 2 * count > all_votes;
+                          ? 2 * t.votes >= all_votes - 1
+                          : 2 * t.votes > all_votes;
     if (wins) {
-      return {id == self ? Decision::Kind::Win : Decision::Kind::Lose, id};
+      return {t.id == self ? Decision::Kind::Win : Decision::Kind::Lose, t.id};
     }
   }
 
   // Tie handling needs the head of every list to be known and non-empty.
-  std::size_t known_heads = 0;
-  for (const auto& [node, snapshot] : table) {
-    if (snapshot.known() && filtered_head(snapshot.agents, done)) ++known_heads;
-  }
   if (known_heads < n_servers || counts.empty()) return {};
 
   std::uint32_t max_count = 0;
-  for (const auto& [id, count] : counts) max_count = std::max(max_count, count);
-  std::vector<agent::AgentId> tied;
-  for (const auto& [id, count] : counts) {
-    if (count == max_count) tied.push_back(id);
+  std::size_t tied = 0;
+  for (const HeadTally& t : counts) max_count = std::max(max_count, t.votes);
+  const HeadTally* first = nullptr;
+  const HeadTally* last = nullptr;
+  for (const HeadTally& t : counts) {
+    if (t.votes != max_count) continue;
+    if (first == nullptr) first = &t;
+    last = &t;
+    ++tied;
   }
-  // std::map iterates ids in ascending order, so tied is sorted; the winner
-  // by identifier is the front (Theorem 2's deterministic rule). The
-  // TieBreakLargestId mutant takes the back instead.
-  const agent::AgentId by_id = mutant == ProtocolMutant::TieBreakLargestId
-                                   ? tied.back()
-                                   : tied.front();
+  // The tally is ascending by id, so the winner by identifier is the first
+  // maximal head (Theorem 2's deterministic rule). The TieBreakLargestId
+  // mutant takes the last instead.
+  const agent::AgentId by_id =
+      mutant == ProtocolMutant::TieBreakLargestId ? last->id : first->id;
 
   switch (mode) {
     case TieBreakMode::PaperLiteral:
       // With weights, S and N are measured in votes rather than servers.
-      if (!paper_tie_condition(max_count, static_cast<std::uint32_t>(tied.size()),
+      if (!paper_tie_condition(max_count, static_cast<std::uint32_t>(tied),
                                all_votes)) {
         return {};  // paper says "further processing is possible" — keep going
       }
@@ -205,34 +270,29 @@ std::vector<agent::AgentId> predicted_order(const LockTable& table,
                                             std::size_t limit) {
   std::vector<agent::AgentId> order;
   DoneSet simulated = done;
+  std::vector<HeadTally> counts;
   for (;;) {
     if (limit != 0 && order.size() >= limit) break;
     // The next winner under TotalOrder, with everyone ranked so far
     // treated as committed (their queue entries logically removed).
-    const auto counts = top_counts(table, simulated, votes);
+    const std::size_t known_heads = tally_heads(table, simulated, votes, counts);
     if (counts.empty()) break;
     const std::uint32_t all_votes = total_votes(votes, n_servers);
     std::optional<agent::AgentId> winner;
     std::uint32_t best_count = 0;
-    for (const auto& [id, count] : counts) {
-      if (2 * count > all_votes) {
-        winner = id;
+    for (const HeadTally& t : counts) {
+      if (2 * t.votes > all_votes) {
+        winner = t.id;
         break;
       }
-      if (count > best_count) best_count = count;
+      if (t.votes > best_count) best_count = t.votes;
     }
     if (!winner) {
       // Tie path needs every head known; otherwise the prediction stops.
-      std::size_t known_heads = 0;
-      for (const auto& [node, snapshot] : table) {
-        if (snapshot.known() && filtered_head(snapshot.agents, simulated)) {
-          ++known_heads;
-        }
-      }
       if (known_heads < n_servers) break;
-      for (const auto& [id, count] : counts) {  // ascending id: first max wins
-        if (count == best_count) {
-          winner = id;
+      for (const HeadTally& t : counts) {  // ascending id: first max wins
+        if (t.votes == best_count) {
+          winner = t.id;
           break;
         }
       }
@@ -245,11 +305,11 @@ std::vector<agent::AgentId> predicted_order(const LockTable& table,
 }
 
 void merge_lock_tables(LockTable& table, const LockTable& incoming) {
-  for (const auto& [node, snapshot] : incoming) {
-    if (!snapshot.known()) continue;
-    auto& slot = table[node];
-    if (snapshot.observed_us > slot.observed_us) slot = snapshot;
-  }
+  table.merge(
+      incoming, [](const LockSnapshot& theirs) { return theirs.known(); },
+      [](LockSnapshot& mine, const LockSnapshot& theirs) {
+        if (theirs.observed_us > mine.observed_us) mine = theirs;
+      });
 }
 
 void merge_group_lock_tables(GroupLockTable& table, const GroupLockTable& incoming) {
@@ -267,11 +327,15 @@ void serialize_lock_table(serial::Writer& w, const LockTable& table) {
 }
 
 LockTable deserialize_lock_table(serial::Reader& r) {
+  // A server id, an agent count and a timestamp: at least three bytes each.
+  const std::uint64_t n = r.length_prefix(3);
   LockTable table;
-  const std::uint64_t n = r.varint();
+  table.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto node = static_cast<net::NodeId>(r.varint());
-    table.emplace(node, LockSnapshot::deserialize(r));
+    if (!table.push_back_ascending(node, LockSnapshot::deserialize(r))) {
+      throw serial::MalformedError("Locking Table servers not strictly ascending");
+    }
   }
   return table;
 }
@@ -285,11 +349,15 @@ void serialize_group_lock_table(serial::Writer& w, const GroupLockTable& table) 
 }
 
 GroupLockTable deserialize_group_lock_table(serial::Reader& r) {
+  // A group id and an (empty) table's count: at least two bytes each.
+  const std::uint64_t n = r.length_prefix(2);
   GroupLockTable table;
-  const std::uint64_t n = r.varint();
+  table.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto group = static_cast<shard::GroupId>(r.varint());
-    table.emplace(group, deserialize_lock_table(r));
+    if (!table.push_back_ascending(group, deserialize_lock_table(r))) {
+      throw serial::MalformedError("Locking Table groups not strictly ascending");
+    }
   }
   return table;
 }

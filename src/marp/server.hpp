@@ -43,7 +43,9 @@ inline constexpr const char* kMarpServiceName = "marp";
 /// keys it will write, and any gossip left by earlier visitors.
 struct VisitResult {
   std::map<shard::GroupId, LockSnapshot> locking_lists;
-  std::vector<agent::AgentId> updated_list;
+  /// The server's Updated List, ascending by id — a view into the server,
+  /// valid until the server next changes.
+  replica::UpdatedList::SortedView updated_list;
   std::vector<std::int64_t> routing_costs;
   std::map<std::string, replica::VersionedValue> data;
   GroupLockTable gossip;
@@ -81,7 +83,7 @@ class MarpServer : public replica::ServerBase {
   /// Empty `groups` means group 0.
   struct RefreshResult {
     std::map<shard::GroupId, LockSnapshot> locking_lists;
-    std::vector<agent::AgentId> updated_list;
+    replica::UpdatedList::SortedView updated_list;  ///< as in VisitResult
   };
   RefreshResult refresh(const agent::AgentId& visitor,
                         const std::vector<shard::GroupId>& groups = {});

@@ -1,5 +1,9 @@
 #include "replica/locking.hpp"
 
+#include <limits>
+
+#include "util/assert.hpp"
+
 namespace marp::replica {
 
 bool LockingList::append(const agent::AgentId& agent, sim::SimTime now) {
@@ -54,14 +58,37 @@ LockingList LockingList::deserialize(serial::Reader& r) {
   return list;
 }
 
-void UpdatedList::add(const agent::AgentId& agent) {
-  if (contains(agent)) return;
-  entries_.push_back(agent);
-  while (entries_.size() > capacity_) entries_.pop_front();
+UpdatedList::UpdatedList(std::size_t capacity) : capacity_(capacity) {
+  MARP_REQUIRE(capacity <= std::numeric_limits<std::uint32_t>::max());
+}
+
+std::vector<std::uint32_t>::const_iterator UpdatedList::lower_bound(
+    const agent::AgentId& agent) const {
+  return std::lower_bound(index_.begin(), index_.end(), agent,
+                          [this](std::uint32_t slot, const agent::AgentId& id) {
+                            return slots_[slot] < id;
+                          });
 }
 
 bool UpdatedList::contains(const agent::AgentId& agent) const {
-  return std::find(entries_.begin(), entries_.end(), agent) != entries_.end();
+  const auto it = lower_bound(agent);
+  return it != index_.end() && slots_[*it] == agent;
+}
+
+void UpdatedList::add(const agent::AgentId& agent) {
+  if (capacity_ == 0 || contains(agent)) return;
+  std::uint32_t slot;
+  if (slots_.size() < capacity_) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(agent);
+  } else {
+    // Full: the oldest entry leaves the index and its slot takes the new one.
+    slot = static_cast<std::uint32_t>(oldest_);
+    index_.erase(lower_bound(slots_[slot]));
+    slots_[slot] = agent;
+    oldest_ = (oldest_ + 1) % capacity_;
+  }
+  index_.insert(lower_bound(agent), slot);
 }
 
 void UpdatedList::merge(const std::vector<agent::AgentId>& other) {
@@ -69,7 +96,12 @@ void UpdatedList::merge(const std::vector<agent::AgentId>& other) {
 }
 
 std::vector<agent::AgentId> UpdatedList::snapshot() const {
-  return {entries_.begin(), entries_.end()};
+  std::vector<agent::AgentId> out;
+  out.reserve(slots_.size());
+  for (std::size_t k = 0; k < slots_.size(); ++k) {
+    out.push_back(slots_[(oldest_ + k) % slots_.size()]);
+  }
+  return out;
 }
 
 }  // namespace marp::replica

@@ -69,11 +69,14 @@ class Parser {
         return value;
       }
       case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return JsonValue{JsonValue::Type::Bool, true};
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return JsonValue{JsonValue::Type::Bool, false};
+      case 'f': {
+        const bool truth = peek() == 't';
+        if (!consume_literal(truth ? "true" : "false")) fail("bad literal");
+        JsonValue value;
+        value.type = JsonValue::Type::Bool;
+        value.boolean = truth;
+        return value;
+      }
       case 'n':
         if (!consume_literal("null")) fail("bad literal");
         return JsonValue{};

@@ -59,10 +59,13 @@ struct SubstrateResult {
   std::vector<std::map<std::string, std::vector<std::uint32_t>>> per_key_writers;
   /// Final-store divergences between replicas — must ALWAYS be empty.
   std::vector<std::string> divergences;
-  /// Per-key apply-order divergences between replicas. Must be empty at
-  /// zero loss; under injected loss a retransmitted COMMIT can arrive after
-  /// a newer same-key commit and be (correctly) rejected by the Thomas
-  /// write rule, so apply histories may differ while stores still converge.
+  /// Per-key apply-order divergences between replicas. Not necessarily
+  /// empty even at zero loss: a replica can receive a key's COMMIT after a
+  /// newer one for the same key that came over a different connection (seen
+  /// with visit_service_time=0), and the Thomas write rule then (correctly)
+  /// skips the older write. Under injected loss a retransmitted COMMIT does
+  /// the same. Apply histories may differ while stores still converge; a
+  /// finding here is a divergence only if the stores or commits differ too.
   std::vector<std::string> order_divergences;
 };
 

@@ -25,11 +25,11 @@ std::string workload_key(const RealNodeConfig& config, net::NodeId origin,
                          std::uint64_t i) {
   const std::uint64_t k = config.keys_per_origin == 0 ? 0 : i % config.keys_per_origin;
   if (config.shared_keys) return "shared/k" + std::to_string(k);
-  return "n" + std::to_string(origin) + "/k" + std::to_string(k);
+  return std::string("n").append(std::to_string(origin)).append("/k").append(std::to_string(k));
 }
 
 std::string workload_value(net::NodeId origin, std::uint64_t i) {
-  return "n" + std::to_string(origin) + "-s" + std::to_string(i);
+  return std::string("n").append(std::to_string(origin)).append("-s").append(std::to_string(i));
 }
 
 RealNode::RealNode(RealNodeConfig config)

@@ -94,7 +94,7 @@ void RequestGenerator::emit(std::uint32_t server) {
     request.key = i == 0 ? first_key : pick_key(server);
     if (is_write) {
       request.kind = replica::RequestKind::Write;
-      request.value = "v" + std::to_string(request.id);
+      request.value = std::string("v").append(std::to_string(request.id));
       if (request.value.size() < config_.value_bytes) {
         request.value.resize(config_.value_bytes, 'x');
       }

@@ -82,7 +82,7 @@ TEST(Mcv, SingleWriteConvergesEverywhere) {
 TEST(Mcv, ConcurrentWritersAllCommitAndConverge) {
   Stack<McvProtocol> stack(5);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.protocol.submit(stack.write(10 + node, node, "m" + std::to_string(node)));
+    stack.protocol.submit(stack.write(10 + node, node, std::string("m").append(std::to_string(node))));
   }
   stack.simulator.run();
   EXPECT_EQ(stack.trace.successful_writes(), 5u);
@@ -151,7 +151,7 @@ TEST(WeightedVoting, ReadsCostMessagesUnlikeMarp) {
 TEST(WeightedVoting, ConcurrentWritesConverge) {
   Stack<WeightedVotingProtocol> stack(5);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.protocol.submit(stack.write(10 + node, node, "w" + std::to_string(node)));
+    stack.protocol.submit(stack.write(10 + node, node, std::string("w").append(std::to_string(node))));
   }
   stack.simulator.run();
   EXPECT_EQ(stack.trace.successful_writes(), 5u);

@@ -100,7 +100,7 @@ TEST(WeightedMarp, ContendedWeightedRunStaysExclusive) {
   config.votes = {3, 2, 1, 1, 1};
   Stack stack(5, config);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.submit_write(10 + node, node, "w" + std::to_string(node));
+    stack.submit_write(10 + node, node, std::string("w").append(std::to_string(node)));
   }
   stack.simulator.run();
   EXPECT_EQ(stack.trace.successful_writes(), 5u);
@@ -265,7 +265,7 @@ TEST(UpdateGrants, StaleAttemptCannotResurrectAGrant) {
   const agent::AgentId agent{1, 100, 0};
 
   // Attempt 1 granted, then withdrawn.
-  UpdatePayload attempt1{agent, 1, 1, {}};
+  UpdatePayload attempt1{agent, 1, 1, {}, {}};
   EXPECT_EQ(server.handle_update_local(attempt1), MarpServer::GrantResult::Granted);
   server.handle_unlock_local(agent, 1);
   EXPECT_FALSE(server.update_holder().has_value());
@@ -275,7 +275,7 @@ TEST(UpdateGrants, StaleAttemptCannotResurrectAGrant) {
   EXPECT_FALSE(server.update_holder().has_value());
 
   // A newer attempt from the same agent is fine.
-  UpdatePayload attempt2{agent, 1, 2, {}};
+  UpdatePayload attempt2{agent, 1, 2, {}, {}};
   EXPECT_EQ(server.handle_update_local(attempt2), MarpServer::GrantResult::Granted);
 }
 
@@ -283,8 +283,8 @@ TEST(UpdateGrants, CommittedAgentsUpdatesAreStale) {
   Stack stack(5);
   MarpServer& server = stack.protocol.server(0);
   const agent::AgentId agent{1, 100, 0};
-  server.handle_commit_local(CommitPayload{agent, {}});
-  EXPECT_EQ(server.handle_update_local(UpdatePayload{agent, 1, 3, {}}),
+  server.handle_commit_local(CommitPayload{agent, {}, {}});
+  EXPECT_EQ(server.handle_update_local(UpdatePayload{agent, 1, 3, {}, {}}),
             MarpServer::GrantResult::Stale);
   EXPECT_FALSE(server.update_holder().has_value());
 }
@@ -293,14 +293,14 @@ TEST(UpdateGrants, SecondSessionIsHeldNotGranted) {
   Stack stack(5);
   MarpServer& server = stack.protocol.server(0);
   const agent::AgentId first{1, 100, 0}, second{2, 200, 0};
-  EXPECT_EQ(server.handle_update_local(UpdatePayload{first, 1, 1, {}}),
+  EXPECT_EQ(server.handle_update_local(UpdatePayload{first, 1, 1, {}, {}}),
             MarpServer::GrantResult::Granted);
-  EXPECT_EQ(server.handle_update_local(UpdatePayload{second, 2, 1, {}}),
+  EXPECT_EQ(server.handle_update_local(UpdatePayload{second, 2, 1, {}, {}}),
             MarpServer::GrantResult::Held);
   EXPECT_EQ(*server.update_holder(), first);
   // Commit by the holder releases for the next session.
-  server.handle_commit_local(CommitPayload{first, {}});
-  EXPECT_EQ(server.handle_update_local(UpdatePayload{second, 2, 2, {}}),
+  server.handle_commit_local(CommitPayload{first, {}, {}});
+  EXPECT_EQ(server.handle_update_local(UpdatePayload{second, 2, 2, {}, {}}),
             MarpServer::GrantResult::Granted);
 }
 
@@ -308,7 +308,7 @@ TEST(UpdateGrants, UnlockOfOlderAttemptDoesNotReleaseNewer) {
   Stack stack(5);
   MarpServer& server = stack.protocol.server(0);
   const agent::AgentId agent{1, 100, 0};
-  EXPECT_EQ(server.handle_update_local(UpdatePayload{agent, 1, 5, {}}),
+  EXPECT_EQ(server.handle_update_local(UpdatePayload{agent, 1, 5, {}, {}}),
             MarpServer::GrantResult::Granted);
   server.handle_unlock_local(agent, 4);  // late unlock of attempt 4
   EXPECT_TRUE(server.update_holder().has_value());  // attempt 5 keeps holding
@@ -370,7 +370,7 @@ TEST_P(LossySeeds, MarpDrainsUnderReliableChannelsWithLoss) {
   for (net::NodeId node = 0; node < 5; ++node) {
     for (int i = 0; i < 4; ++i) {
       stack.submit_write(100 + node * 10 + i, node,
-                         "n" + std::to_string(node) + "i" + std::to_string(i));
+                         std::string("n").append(std::to_string(node)).append("i").append(std::to_string(i)));
     }
   }
   stack.simulator.run(300_s);
@@ -389,7 +389,7 @@ TEST_P(LossySeeds, MarpStaysSafeUnderPermanentLoss) {
   Stack stack(5, {}, GetParam());
   stack.network.set_drop_probability(0.05);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.submit_write(200 + node, node, "p" + std::to_string(node));
+    stack.submit_write(200 + node, node, std::string("p").append(std::to_string(node)));
   }
   stack.simulator.run(300_s);
   EXPECT_LE(stack.trace.completed(), 5u);
@@ -423,7 +423,9 @@ TEST(Partitions, MinoritySideCannotCommitMajoritySideCan) {
   // The minority side must NOT have committed its write anywhere.
   for (net::NodeId node = 0; node < 5; ++node) {
     const auto value = stack.protocol.server(node).store().read("item");
-    if (value) EXPECT_NE(value->value, "minority-write");
+    if (value) {
+      EXPECT_NE(value->value, "minority-write");
+    }
   }
   EXPECT_EQ(stack.protocol.stats().mutex_violations, 0u);
 

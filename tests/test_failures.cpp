@@ -87,7 +87,7 @@ TEST(MarpFailures, MajorityFailureAbortsTheWrite) {
 TEST(MarpFailures, CrashDuringLoadDoesNotViolateSafety) {
   MarpStack stack(5);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.submit_write(10 + node, node, "c" + std::to_string(node));
+    stack.submit_write(10 + node, node, std::string("c").append(std::to_string(node)));
   }
   // Kill a server while agents are racing for the lock.
   stack.simulator.schedule(5_ms, [&stack] { stack.protocol.fail_server(2); });

@@ -97,7 +97,7 @@ TEST(Marp, VisitsNeverExceedClusterSize) {
   // Theorem 3 upper bound under heavy contention from every server.
   Stack stack(5);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.protocol.submit(stack.write(100 + node, node, "v" + std::to_string(node)));
+    stack.protocol.submit(stack.write(100 + node, node, std::string("v").append(std::to_string(node))));
   }
   stack.simulator.run();
   EXPECT_EQ(stack.trace.successful_writes(), 5u);
@@ -113,8 +113,10 @@ TEST(Marp, ConcurrentWritersSerializeWithoutMutexViolations) {
     stack.simulator.schedule(sim::SimTime::millis(burst * 3), [&stack, burst] {
       for (net::NodeId node = 0; node < 5; ++node) {
         stack.protocol.submit(stack.write(1000 + burst * 10 + node, node,
-                                          "b" + std::to_string(burst) + "n" +
-                                              std::to_string(node)));
+                                          std::string("b")
+                                              .append(std::to_string(burst))
+                                              .append("n")
+                                              .append(std::to_string(node))));
       }
     });
   }
@@ -159,7 +161,7 @@ TEST(Marp, BatchingShipsMultipleRequestsInOneAgent) {
   config.batch_period = 500_ms;
   Stack stack(5, config);
   for (std::uint64_t i = 1; i <= 3; ++i) {
-    stack.protocol.submit(stack.write(i, 0, "v" + std::to_string(i)));
+    stack.protocol.submit(stack.write(i, 0, std::string("v").append(std::to_string(i))));
   }
   stack.simulator.run();
   EXPECT_EQ(stack.trace.successful_writes(), 3u);
@@ -184,7 +186,7 @@ TEST(Marp, GossipOffStillConvergesAndCommits) {
   config.gossip = false;
   Stack stack(5, config);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.protocol.submit(stack.write(10 + node, node, "g" + std::to_string(node)));
+    stack.protocol.submit(stack.write(10 + node, node, std::string("g").append(std::to_string(node))));
   }
   stack.simulator.run();
   EXPECT_EQ(stack.trace.successful_writes(), 5u);
@@ -198,7 +200,7 @@ TEST_P(RoutingModes, AllPoliciesCommitConcurrentLoad) {
   config.routing = GetParam();
   Stack stack(5, config);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.protocol.submit(stack.write(20 + node, node, "r" + std::to_string(node)));
+    stack.protocol.submit(stack.write(20 + node, node, std::string("r").append(std::to_string(node))));
   }
   stack.simulator.run();
   EXPECT_EQ(stack.trace.successful_writes(), 5u);
@@ -220,7 +222,7 @@ TEST(Marp, PaperLiteralTieBreakIsSafeButCanDeadlock) {
   config.tie_break = TieBreakMode::PaperLiteral;
   Stack stack(5, config);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.protocol.submit(stack.write(30 + node, node, "t" + std::to_string(node)));
+    stack.protocol.submit(stack.write(30 + node, node, std::string("t").append(std::to_string(node))));
   }
   stack.simulator.run(60_s);
   EXPECT_GE(stack.trace.successful_writes(), 1u);  // first winner always exists
@@ -232,7 +234,7 @@ TEST(Marp, PaperLiteralTieBreakIsSafeButCanDeadlock) {
   Stack stack2(5, fixed);
   for (net::NodeId node = 0; node < 5; ++node) {
     stack2.protocol.submit(
-        stack2.write(30 + node, node, "t" + std::to_string(node)));
+        stack2.write(30 + node, node, std::string("t").append(std::to_string(node))));
   }
   stack2.simulator.run(60_s);
   EXPECT_EQ(stack2.trace.successful_writes(), 5u);
@@ -305,7 +307,7 @@ TEST(Marp, ThreeServerClusterMinimumQuorumIsTwo) {
 TEST(Marp, LockTimeIsContainedInTotalTime) {
   Stack stack(5);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.protocol.submit(stack.write(40 + node, node, "l" + std::to_string(node)));
+    stack.protocol.submit(stack.write(40 + node, node, std::string("l").append(std::to_string(node))));
   }
   stack.simulator.run();
   for (const auto& outcome : stack.trace.outcomes()) {

@@ -3,11 +3,17 @@
 // refresh, batching timers, and runs over star/ring topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <set>
 
 #include "marp/protocol.hpp"
+#include "marp/update_agent.hpp"
 #include "net/latency.hpp"
 #include "net/topology.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "workload/trace.hpp"
 
@@ -180,6 +186,146 @@ void run_on_topology(MakeTopology&& make) {
     const auto value = protocol.server(node).store().read("item");
     ASSERT_TRUE(value.has_value());
     EXPECT_EQ(value->value, reference->value);
+  }
+}
+
+// ---- Updated List: FIFO eviction with a sorted index ----
+
+TEST(UpdatedListIndex, RandomAddsMatchABoundedFifoReference) {
+  sim::Rng rng(256);
+  for (int trial = 0; trial < 20; ++trial) {
+    constexpr std::size_t kCapacity = 256;
+    replica::UpdatedList ul(kCapacity);
+    std::deque<agent::AgentId> ref;
+    for (int op = 0; op < 1500; ++op) {
+      // Ids drawn from a space a few times the capacity: re-adds of live
+      // entries, re-adds of evicted ones and fresh ids all happen.
+      const agent::AgentId id{static_cast<net::NodeId>(rng.bounded(8)),
+                              static_cast<std::int64_t>(rng.bounded(100)), 0};
+      ul.add(id);
+      if (std::find(ref.begin(), ref.end(), id) == ref.end()) {
+        ref.push_back(id);
+        if (ref.size() > kCapacity) ref.pop_front();
+      }
+      ASSERT_EQ(ul.size(), ref.size());
+      const agent::AgentId probe{static_cast<net::NodeId>(rng.bounded(8)),
+                                 static_cast<std::int64_t>(rng.bounded(100)), 0};
+      ASSERT_EQ(ul.contains(probe),
+                std::find(ref.begin(), ref.end(), probe) != ref.end());
+    }
+    EXPECT_EQ(ul.snapshot(), std::vector<agent::AgentId>(ref.begin(), ref.end()));
+    const std::set<agent::AgentId> ascending(ref.begin(), ref.end());
+    const auto view = ul.sorted();
+    ASSERT_EQ(view.size(), ascending.size());
+    std::size_t k = 0;
+    for (const agent::AgentId& id : ascending) EXPECT_EQ(view[k++], id);
+  }
+}
+
+TEST(UpdatedListIndex, EvictedEntriesAreNoLongerContained) {
+  replica::UpdatedList ul(256);
+  for (std::uint32_t i = 0; i < 300; ++i) ul.add(aid(i));
+  EXPECT_EQ(ul.size(), 256u);
+  for (std::uint32_t i = 0; i < 44; ++i) EXPECT_FALSE(ul.contains(aid(i))) << i;
+  for (std::uint32_t i = 44; i < 300; ++i) EXPECT_TRUE(ul.contains(aid(i))) << i;
+  // An evicted agent can be recorded again, as the newest entry.
+  ul.add(aid(0));
+  EXPECT_TRUE(ul.contains(aid(0)));
+  EXPECT_FALSE(ul.contains(aid(44)));
+  EXPECT_EQ(ul.snapshot().back(), aid(0));
+}
+
+// ---- Hostile agent frames: out-of-order or repeated keys are rejected ----
+
+/// An UpdateAgent frame laid out field by field as UpdateAgent::serialize
+/// writes it, with the Locking Tables and UAL supplied by `lt_and_ual`.
+serial::Bytes update_agent_frame(const std::function<void(serial::Writer&)>& lt_and_ual) {
+  serial::Writer state;
+  state.varint(0);  // origin
+  state.varint(1);  // one pending write
+  state.varint(7);
+  state.str("k");
+  state.str("v");
+  state.u8(0);       // phase: Traveling
+  state.svarint(0);  // dispatched
+  state.svarint(0);  // lock obtained
+  state.varint(0);   // USL
+  state.varint(0);   // visited
+  state.varint(0);   // unavailable
+  state.varint(1);   // lock groups {0}
+  state.varint(0);
+  lt_and_ual(state);
+  state.varint(0);  // freshest copies
+  state.varint(0);  // routing costs
+  state.varint(0);  // current target
+  state.varint(0);  // migration retries
+  state.varint(0);  // ops
+  state.varint(0);  // acks
+  state.varint(0);  // ack rounds
+  state.boolean(false);  // committed
+  state.varint(0);       // commit acks
+  state.varint(0);       // commit rounds
+  state.boolean(false);  // report acked
+  state.boolean(false);  // defer
+  agent::AgentId{}.serialize(state);
+  state.svarint(0);  // defer since
+  state.varint(0);   // attempt seq
+  state.svarint(0);  // stall since
+  state.varint(0);   // stall fingerprint
+
+  serial::Writer frame;
+  frame.str(kUpdateAgentType);
+  aid(42).serialize(frame);
+  frame.raw(state.bytes());
+  return frame.take();
+}
+
+/// Group-table body: one group 0 whose servers are `nodes` (in the given
+/// order), followed by a UAL of `ual` (in the given order).
+serial::Bytes frame_with(const std::vector<net::NodeId>& nodes,
+                         const std::vector<agent::AgentId>& ual,
+                         const std::vector<shard::GroupId>& groups = {0}) {
+  return update_agent_frame([&](serial::Writer& w) {
+    w.varint(groups.size());
+    for (const shard::GroupId g : groups) {
+      w.varint(g);
+      w.varint(nodes.size());
+      for (const net::NodeId node : nodes) {
+        w.varint(node);
+        LockSnapshot{{aid(1)}, 10}.serialize(w);
+      }
+    }
+    w.varint(ual.size());
+    for (const agent::AgentId& id : ual) id.serialize(w);
+  });
+}
+
+TEST(HostileAgentFrame, WellFormedHandBuiltFrameDecodes) {
+  Stack stack(3);
+  const auto agent = stack.platform.decode_frame(frame_with({0, 2}, {aid(1), aid(2)}, {0, 3}));
+  const auto& update = dynamic_cast<const UpdateAgent&>(*agent);
+  EXPECT_EQ(update.id(), aid(42));
+  EXPECT_EQ(update.updated_agents(), (DoneSet{aid(1), aid(2)}));
+  ASSERT_EQ(update.lock_tables().size(), 2u);
+  EXPECT_EQ(update.lock_tables().at(3).size(), 2u);
+  // And it re-encodes to the very same bytes.
+  const serial::Bytes bytes = frame_with({0, 2}, {aid(1), aid(2)}, {0, 3});
+  EXPECT_EQ(stack.platform.encode_frame(*agent), bytes);
+}
+
+TEST(HostileAgentFrame, UnorderedOrRepeatedKeysAreTypedRejections) {
+  Stack stack(3);
+  const std::vector<serial::Bytes> hostile = {
+      frame_with({0, 1}, {aid(2), aid(1)}),         // UAL descending
+      frame_with({0, 1}, {aid(1), aid(1)}),         // UAL repeats an id
+      frame_with({2, 1}, {aid(1)}),                 // servers descending
+      frame_with({1, 1}, {aid(1)}),                 // server repeated
+      frame_with({0, 1}, {aid(1)}, {3, 0}),         // groups descending
+      frame_with({0, 1}, {aid(1)}, {0, 0}),         // group repeated
+  };
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    EXPECT_THROW(stack.platform.decode_frame(hostile[i]), serial::MalformedError)
+        << "case " << i;
   }
 }
 

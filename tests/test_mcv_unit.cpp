@@ -52,7 +52,7 @@ TEST(McvPreemption, SelfGrantDeadlockIsBrokenByPreempts) {
   // write must commit without waiting for retry timeouts.
   Stack stack(5);
   for (net::NodeId node = 0; node < 5; ++node) {
-    stack.write(10 + node, node, "m" + std::to_string(node));
+    stack.write(10 + node, node, std::string("m").append(std::to_string(node)));
   }
   // 5 sequential lock+update+commit sessions at 2 ms hops: well under the
   // 100 ms retry timer if preemption works, far over it if not.
@@ -105,7 +105,7 @@ TEST(McvPreemption, HeavyInterleavingCommitsEverythingQuickly) {
     stack.simulator.schedule(sim::SimTime::millis(wave * 7), [&stack, &id, wave] {
       for (net::NodeId node = 0; node < 5; ++node) {
         stack.write(id++, node,
-                    "w" + std::to_string(wave) + "n" + std::to_string(node));
+                    std::string("w").append(std::to_string(wave)).append("n").append(std::to_string(node)));
       }
     });
   }
@@ -124,7 +124,7 @@ TEST_P(UpdateAgentFuzz, RandomBatchesRoundTripExactly) {
     std::vector<core::UpdateAgent::PendingWrite> writes;
     const std::size_t count = 1 + rng.bounded(6);
     for (std::size_t i = 0; i < count; ++i) {
-      std::string key = "k" + std::to_string(rng.bounded(4));
+      std::string key = std::string("k").append(std::to_string(rng.bounded(4)));
       std::string value;
       const std::size_t len = rng.bounded(200);
       for (std::size_t c = 0; c < len; ++c) {

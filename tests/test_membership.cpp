@@ -205,7 +205,7 @@ TEST(MembershipDeployment, PartialReplicationSkipsNonReplicas) {
   const auto keys = keys_for_groups(4);
   for (shard::GroupId g = 0; g < 4; ++g) {
     stack.submit_write(g + 1, static_cast<net::NodeId>((2 * g) % 8), keys[g],
-                       "g" + std::to_string(g));
+                       std::string("g").append(std::to_string(g)));
   }
   stack.simulator.run(5_s);
 
@@ -224,7 +224,7 @@ TEST(MembershipDeployment, PartialReplicationSkipsNonReplicas) {
       if (view.hosts(node, g)) {
         hosts_any = true;
         ASSERT_TRUE(value.has_value()) << "node " << node << " group " << g;
-        EXPECT_EQ(value->value, "g" + std::to_string(g));
+        EXPECT_EQ(value->value, std::string("g").append(std::to_string(g)));
       } else {
         EXPECT_FALSE(value.has_value()) << "node " << node << " group " << g;
       }
@@ -251,7 +251,7 @@ TEST(MembershipDeployment, JoinGainsGroupsAndCatchesUp) {
   const auto keys = keys_for_groups(8);
   for (shard::GroupId g = 0; g < 8; ++g) {
     stack.submit_write(g + 1, static_cast<net::NodeId>(g % 4), keys[g],
-                       "v" + std::to_string(g));
+                       std::string("v").append(std::to_string(g)));
   }
   stack.simulator.run(5_s);
   ASSERT_EQ(stack.trace.successful_writes(), 8u);
@@ -274,7 +274,7 @@ TEST(MembershipDeployment, JoinGainsGroupsAndCatchesUp) {
     const auto value = stack.protocol.server(4).store().read(keys[g]);
     if (view.hosts(4, g)) {
       ASSERT_TRUE(value.has_value()) << "joiner missing group " << g;
-      EXPECT_EQ(value->value, "v" + std::to_string(g));
+      EXPECT_EQ(value->value, std::string("v").append(std::to_string(g)));
     } else {
       EXPECT_FALSE(value.has_value()) << "joiner over-replicated group " << g;
     }

@@ -3,6 +3,7 @@
 // applying `decide` to the same information must name the same winner.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "marp/priority.hpp"
@@ -357,6 +358,182 @@ TEST_P(DecideOracle, MatchesIndependentRestatementOfTheRule) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecideOracle, ::testing::Values(3, 31, 313));
+
+// ---- Flat agent-state containers against node-based references ----
+
+agent::AgentId random_id(sim::Rng& rng) {
+  // A small id space so inserts collide and merges overlap.
+  return agent::AgentId{static_cast<net::NodeId>(rng.bounded(4)),
+                        static_cast<std::int64_t>(rng.bounded(40)),
+                        static_cast<std::uint32_t>(rng.bounded(3))};
+}
+
+TEST(FlatDoneSet, RandomInsertsAndMergesMatchStdSet) {
+  sim::Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    DoneSet flat;
+    std::set<agent::AgentId> ref;
+    for (int op = 0; op < 40; ++op) {
+      if (rng.bounded(3) == 0) {
+        const agent::AgentId id = random_id(rng);
+        EXPECT_EQ(flat.insert(id), ref.insert(id).second);
+      } else {
+        // A batch merge of a strictly ascending list (a UL's sorted view).
+        std::set<agent::AgentId> batch;
+        const std::size_t n = rng.bounded(12);
+        for (std::size_t i = 0; i < n; ++i) batch.insert(random_id(rng));
+        const std::vector<agent::AgentId> ascending(batch.begin(), batch.end());
+        flat.merge_ascending(ascending);
+        ref.insert(batch.begin(), batch.end());
+      }
+      ASSERT_EQ(flat.size(), ref.size());
+      ASSERT_TRUE(std::equal(flat.begin(), flat.end(), ref.begin()));
+      const agent::AgentId probe = random_id(rng);
+      EXPECT_EQ(flat.contains(probe), ref.contains(probe));
+    }
+  }
+}
+
+TEST(FlatDoneSet, WireFormIsAscendingAndRoundTrips) {
+  const DoneSet done{aid(3), aid(1), aid(2), aid(1)};
+  serial::Writer w;
+  serialize_done_set(w, done);
+  // The bytes a std::set<AgentId> wrote: the count, then ids ascending.
+  serial::Writer expected;
+  expected.varint(3);
+  for (const auto& id : std::set<agent::AgentId>{aid(1), aid(2), aid(3)}) id.serialize(expected);
+  EXPECT_EQ(w.bytes(), expected.bytes());
+  serial::Reader r(w.bytes());
+  EXPECT_EQ(deserialize_done_set(r), done);
+  EXPECT_TRUE(r.at_end());
+}
+
+LockSnapshot random_snapshot(sim::Rng& rng) {
+  if (rng.bounded(5) == 0) return LockSnapshot{};  // never observed
+  std::vector<agent::AgentId> agents;
+  const std::size_t n = rng.bounded(4);
+  for (std::size_t i = 0; i < n; ++i) agents.push_back(random_id(rng));
+  return LockSnapshot{std::move(agents), static_cast<std::int64_t>(rng.bounded(50))};
+}
+
+using RefTable = std::map<net::NodeId, LockSnapshot>;
+
+// merge_lock_tables as it was specified over std::map.
+void ref_merge(RefTable& table, const RefTable& incoming) {
+  for (const auto& [node, snapshot] : incoming) {
+    if (!snapshot.known()) continue;
+    auto& slot = table[node];
+    if (snapshot.observed_us > slot.observed_us) slot = snapshot;
+  }
+}
+
+void expect_same_table(const LockTable& flat, const RefTable& ref) {
+  ASSERT_EQ(flat.size(), ref.size());
+  auto it = ref.begin();
+  for (const auto& [node, snapshot] : flat) {
+    ASSERT_EQ(node, it->first);
+    EXPECT_EQ(snapshot.agents, it->second.agents);
+    EXPECT_EQ(snapshot.observed_us, it->second.observed_us);
+    ++it;
+  }
+  serial::Writer a, b;
+  serialize_lock_table(a, flat);
+  b.varint(ref.size());
+  for (const auto& [node, snapshot] : ref) {
+    b.varint(node);
+    snapshot.serialize(b);
+  }
+  EXPECT_EQ(a.bytes(), b.bytes());
+}
+
+TEST(FlatLockTable, RandomWritesAndMergesMatchStdMap) {
+  sim::Rng rng(4096);
+  for (int trial = 0; trial < 300; ++trial) {
+    LockTable flat;
+    RefTable ref;
+    for (int op = 0; op < 30; ++op) {
+      const auto node = static_cast<net::NodeId>(rng.bounded(12));
+      switch (rng.bounded(3)) {
+        case 0: {
+          const LockSnapshot s = random_snapshot(rng);
+          flat[node] = s;
+          ref[node] = s;
+          break;
+        }
+        case 1: {
+          const LockSnapshot s = random_snapshot(rng);
+          EXPECT_EQ(flat.emplace(node, s).second, ref.emplace(node, s).second);
+          break;
+        }
+        default: {
+          LockTable incoming;
+          RefTable incoming_ref;
+          const std::size_t n = rng.bounded(8);
+          for (std::size_t i = 0; i < n; ++i) {
+            const auto at = static_cast<net::NodeId>(rng.bounded(12));
+            const LockSnapshot s = random_snapshot(rng);
+            incoming[at] = s;
+            incoming_ref[at] = s;
+          }
+          merge_lock_tables(flat, incoming);
+          ref_merge(ref, incoming_ref);
+          break;
+        }
+      }
+      expect_same_table(flat, ref);
+      EXPECT_EQ(flat.contains(node), ref.contains(node));
+      EXPECT_EQ(flat.find(node) != flat.end(), ref.find(node) != ref.end());
+    }
+  }
+}
+
+// ---- One-pass decide() against the independent restatements ----
+
+TEST(DecideOnePass, AgreesWithOracleAndTopCountsOverThousandsOfTables) {
+  sim::Rng rng(8128);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t n = 1 + rng.bounded(9);
+    const std::size_t agents = 1 + rng.bounded(7);
+    std::vector<agent::AgentId> ids;
+    for (std::uint32_t a = 0; a < agents; ++a) ids.push_back(aid(a + 1));
+    LockTable table;
+    for (net::NodeId s = 0; s < n; ++s) {
+      if (rng.bounded(4) == 0) continue;  // never observed
+      std::vector<agent::AgentId> queue = ids;
+      rng.shuffle(queue);
+      queue.resize(rng.bounded(queue.size() + 1));
+      // Some observed-but-unknown entries (stamp −1) ride along too.
+      table[s] = LockSnapshot{std::move(queue), rng.bounded(6) == 0 ? -1 : trial};
+    }
+    DoneSet done;
+    for (const auto& id : ids) {
+      if (rng.bounded(3) == 0) done.insert(id);
+    }
+
+    // Top-Count restated with std containers.
+    std::map<agent::AgentId, std::uint32_t> expected_counts;
+    for (const auto& [node, snapshot] : table) {
+      if (!snapshot.known()) continue;
+      for (const auto& id : snapshot.agents) {
+        if (done.contains(id)) continue;
+        ++expected_counts[id];
+        break;
+      }
+    }
+    ASSERT_EQ(top_counts(table, done), expected_counts);
+
+    const auto expected = oracle_winner(table, done, n);
+    for (const auto& self : ids) {
+      const Decision d = decide(table, done, self, n, TieBreakMode::TotalOrder);
+      if (!expected) {
+        ASSERT_EQ(d.kind, Decision::Kind::Unknown);
+      } else {
+        ASSERT_EQ(d.kind, self == *expected ? Decision::Kind::Win : Decision::Kind::Lose);
+        ASSERT_EQ(*d.winner, *expected);
+      }
+    }
+  }
+}
 
 // ---- Permutation invariance: relabeling servers cannot move the lock ----
 

@@ -208,7 +208,9 @@ TEST(QuorumPick, DeterministicAcrossCalls) {
       const auto a = qs->pick_write_quorum({1}, 0);
       const auto b = qs->pick_write_quorum({1}, 0);
       ASSERT_EQ(a.has_value(), b.has_value()) << describe(*qs);
-      if (a) ASSERT_EQ(*a, *b) << describe(*qs);
+      if (a) {
+        ASSERT_EQ(*a, *b) << describe(*qs);
+      }
     }
   }
 }

@@ -50,7 +50,7 @@ TEST(ShardRouter, DeterministicAndInRange) {
 TEST(ShardRouter, GroupsOfIsSortedAndDeduplicated) {
   shard::ShardRouter router(16);
   std::vector<std::string> keys;
-  for (int i = 0; i < 64; ++i) keys.push_back("k" + std::to_string(i));
+  for (int i = 0; i < 64; ++i) keys.push_back(std::string("k").append(std::to_string(i)));
   keys.push_back("k0");  // duplicate key
   const auto groups = router.groups_of(keys);
   EXPECT_TRUE(std::is_sorted(groups.begin(), groups.end()));
@@ -290,7 +290,7 @@ TEST(Sharding, ContendedShardedRunKeepsPerKeyOrderAndMutex) {
       for (net::NodeId node = 0; node < 5; ++node) {
         const std::string key = "item-" + std::to_string((round + node) % 8);
         stack.protocol.submit(stack.write(
-            id++, node, key, "r" + std::to_string(round) + "n" + std::to_string(node)));
+            id++, node, key, std::string("r").append(std::to_string(round)).append("n").append(std::to_string(node))));
       }
     });
   }
@@ -319,7 +319,7 @@ TEST(Sharding, MutexMonitorSilentUnderMessageLoss) {
       for (net::NodeId node = 0; node < 5; ++node) {
         stack.protocol.submit(stack.write(id++, node,
                                           "item-" + std::to_string(node % 4),
-                                          "x" + std::to_string(round)));
+                                          std::string("x").append(std::to_string(round))));
       }
     });
   }
@@ -373,7 +373,7 @@ void run_fixed_contended_workload(Stack& stack) {
     stack.simulator.schedule(sim::SimTime::millis(round * 4), [&stack, round, &id] {
       for (net::NodeId node = 0; node < 5; ++node) {
         stack.protocol.submit(stack.write(
-            id++, node, "item", "r" + std::to_string(round) + "n" + std::to_string(node)));
+            id++, node, "item", std::string("r").append(std::to_string(round)).append("n").append(std::to_string(node))));
       }
     });
   }

@@ -140,7 +140,9 @@ TEST(WriteMergedTrace, StitchesOpenMigrationsAndDrawsFlows) {
   for (const JsonValue& ev : events->array) {
     const JsonValue* ph = ev.find("ph");
     const JsonValue* ts = ev.find("ts");
-    if (ts) EXPECT_GE(ts->number, 0.0);  // rebase leaves nothing negative
+    if (ts) {
+      EXPECT_GE(ts->number, 0.0);  // rebase leaves nothing negative
+    }
     if (!ph || !ph->is_string()) continue;
     if (ph->str == "X") {
       const JsonValue* args = ev.find("args");
@@ -380,7 +382,9 @@ TEST(TraceMergeCluster, InjectedSkewIsCorrectedWithinTolerance) {
   std::set<double> pids;
   for (const JsonValue& ev : events->array) {
     const JsonValue* ts = ev.find("ts");
-    if (ts) EXPECT_GE(ts->number, 0.0);
+    if (ts) {
+      EXPECT_GE(ts->number, 0.0);
+    }
     const JsonValue* ph = ev.find("ph");
     const JsonValue* pid = ev.find("pid");
     if (ph && ph->is_string() && ph->str != "M" && pid) {

@@ -88,7 +88,7 @@ TEST(Tsae, ConcurrentWritersConvergeByVersion) {
   Stack stack(5);
   for (net::NodeId node = 0; node < 5; ++node) {
     stack.submit(10 + node, node, replica::RequestKind::Write,
-                 "w" + std::to_string(node));
+                 std::string("w").append(std::to_string(node)));
   }
   stack.simulator.run(10_s);
   const auto reference = stack.protocol.server(0).store().read("item");
@@ -104,7 +104,7 @@ TEST(Tsae, ConcurrentWritersConvergeByVersion) {
 TEST(Tsae, SummaryVectorsReachTheHighWaterEverywhere) {
   Stack stack(3);
   for (int i = 0; i < 4; ++i) {
-    stack.submit(1 + i, 1, replica::RequestKind::Write, "v" + std::to_string(i));
+    stack.submit(1 + i, 1, replica::RequestKind::Write, std::string("v").append(std::to_string(i)));
   }
   stack.simulator.run(10_s);
   for (net::NodeId node = 0; node < 3; ++node) {
