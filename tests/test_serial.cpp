@@ -186,5 +186,43 @@ TEST_P(SerialFuzz, RandomRecordsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerialFuzz, ::testing::Values(1, 7, 99, 12345));
 
+TEST(Nested, WritesTheBytesOfRawAndReadsInPlace) {
+  // Lengths on both sides of the two bytes set aside for the prefix.
+  for (const std::size_t n : {0u, 1u, 127u, 128u, 16383u, 16384u, 70000u}) {
+    Bytes block(n);
+    for (std::size_t i = 0; i < n; ++i) block[i] = static_cast<std::uint8_t>(i * 7);
+    Writer expected;
+    expected.u8(0xAB);
+    expected.raw(block);
+    expected.u8(0xCD);
+
+    Writer w;
+    w.u8(0xAB);
+    w.nested([&](Writer& inner) {
+      for (const std::uint8_t b : block) inner.u8(b);
+    });
+    w.u8(0xCD);
+    ASSERT_EQ(w.bytes(), expected.bytes()) << n;
+
+    Reader r(w.bytes());
+    EXPECT_EQ(r.u8(), 0xAB);
+    Reader inner = r.nested();
+    ASSERT_EQ(inner.remaining(), n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(inner.u8(), block[i]);
+    EXPECT_EQ(r.u8(), 0xCD);
+    EXPECT_TRUE(r.at_end());
+  }
+}
+
+TEST(Nested, TruncatedBlockIsATypedRejection) {
+  Writer w;
+  w.varint(10);  // announces ten bytes, carries three
+  w.u8(1);
+  w.u8(2);
+  w.u8(3);
+  Reader r(w.bytes());
+  EXPECT_THROW(r.nested(), TruncatedError);
+}
+
 }  // namespace
 }  // namespace marp::serial
