@@ -75,9 +75,17 @@ std::unique_ptr<MobileAgent> AgentPlatform::decode_frame(const serial::Bytes& by
   const std::string type_name = r.str();
   const AgentId id = AgentId::deserialize(r);
   serial::Reader state_reader = r.nested();  // the state, read in place
+  // Frames can come off the wire: an unknown type or trailing state bytes
+  // are rejections of the frame, not broken invariants of this process.
+  if (!registry_.contains(type_name)) {
+    throw serial::MalformedError(std::string("unknown agent type: ").append(type_name));
+  }
   std::unique_ptr<MobileAgent> agent = registry_.create(type_name);
   agent->deserialize(state_reader);
-  MARP_ENSURE_MSG(state_reader.at_end(), "agent state not fully consumed: " + type_name);
+  if (!state_reader.at_end()) {
+    throw serial::MalformedError(
+        std::string("agent state not fully consumed: ").append(type_name));
+  }
   agent->id_ = id;
   return agent;
 }

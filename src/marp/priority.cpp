@@ -6,19 +6,6 @@
 
 namespace marp::core {
 
-void LockSnapshot::serialize(serial::Writer& w) const {
-  w.seq(agents, [](serial::Writer& ww, const agent::AgentId& id) { id.serialize(ww); });
-  w.svarint(observed_us);
-}
-
-LockSnapshot LockSnapshot::deserialize(serial::Reader& r) {
-  LockSnapshot s;
-  s.agents = r.seq<agent::AgentId>(
-      [](serial::Reader& rr) { return agent::AgentId::deserialize(rr); });
-  s.observed_us = r.svarint();
-  return s;
-}
-
 std::optional<agent::AgentId> filtered_head(
     const std::vector<agent::AgentId>& snapshot, const DoneSet& done) {
   for (const agent::AgentId& id : snapshot) {
@@ -78,22 +65,68 @@ std::size_t tally_heads(const LockTable& table, const DoneSet& done,
 
 }  // namespace
 
+namespace {
+
+// One id of a strictly ascending list: the created_us delta from the
+// previous id, then origin and seq. The delta is taken modulo 2^64, so every
+// id has a code and a delta that wraps around decodes to a smaller id, which
+// the list's order check rejects.
+void write_id(serial::Writer& w, const agent::AgentId& id, std::uint64_t& prev) {
+  const auto created = static_cast<std::uint64_t>(id.created_us);
+  w.varint(created - prev);
+  w.varint(id.origin);
+  w.varint(id.seq);
+  prev = created;
+}
+
+agent::AgentId read_id(serial::Reader& r, std::uint64_t& prev) {
+  prev += r.varint();
+  agent::AgentId id;
+  id.created_us = static_cast<std::int64_t>(prev);
+  id.origin = static_cast<net::NodeId>(r.varint());
+  id.seq = static_cast<std::uint32_t>(r.varint());
+  return id;
+}
+
+// An id is three varints: at least three bytes on the wire.
+constexpr std::size_t kMinIdBytes = 3;
+
+}  // namespace
+
 void serialize_done_set(serial::Writer& w, const DoneSet& done) {
   w.varint(done.size());
-  for (const agent::AgentId& id : done) id.serialize(w);
+  std::uint64_t prev = 0;
+  for (const agent::AgentId& id : done) write_id(w, id, prev);
 }
 
 DoneSet deserialize_done_set(serial::Reader& r) {
-  // An AgentId is three varints: at least three bytes on the wire.
-  const std::uint64_t n = r.length_prefix(3);
+  const std::uint64_t n = r.length_prefix(kMinIdBytes);
   DoneSet done;
   done.reserve(n);
+  std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (!done.push_back_ascending(agent::AgentId::deserialize(r))) {
+    if (!done.push_back_ascending(read_id(r, prev))) {
       throw serial::MalformedError("UAL not strictly ascending");
     }
   }
   return done;
+}
+
+void strip_done(LockSnapshot& snapshot, const DoneSet& done) {
+  if (done.empty()) return;
+  std::erase_if(snapshot.agents,
+                [&](const agent::AgentId& id) { return done.contains(id); });
+}
+
+void strip_done(GroupLockTable& table, const std::vector<agent::AgentId>& finished) {
+  if (finished.empty()) return;
+  for (auto& [group, servers] : table) {
+    for (auto& [node, snapshot] : servers) {
+      std::erase_if(snapshot.agents, [&](const agent::AgentId& id) {
+        return std::binary_search(finished.begin(), finished.end(), id);
+      });
+    }
+  }
 }
 
 std::map<agent::AgentId, std::uint32_t> top_counts(const LockTable& table,
@@ -304,11 +337,21 @@ std::vector<agent::AgentId> predicted_order(const LockTable& table,
   return order;
 }
 
-void merge_lock_tables(LockTable& table, const LockTable& incoming) {
+void merge_lock_tables(LockTable& table, const LockTable& incoming,
+                       const DoneSet* strip) {
   table.merge(
       incoming, [](const LockSnapshot& theirs) { return theirs.known(); },
-      [](LockSnapshot& mine, const LockSnapshot& theirs) {
-        if (theirs.observed_us > mine.observed_us) mine = theirs;
+      [strip](LockSnapshot& mine, const LockSnapshot& theirs) {
+        if (theirs.observed_us <= mine.observed_us) return;
+        if (strip == nullptr) {
+          mine = theirs;
+          return;
+        }
+        mine.observed_us = theirs.observed_us;
+        mine.agents.clear();
+        for (const agent::AgentId& id : theirs.agents) {
+          if (!strip->contains(id)) mine.agents.push_back(id);
+        }
       });
 }
 
@@ -318,44 +361,189 @@ void merge_group_lock_tables(GroupLockTable& table, const GroupLockTable& incomi
   }
 }
 
-void serialize_lock_table(serial::Writer& w, const LockTable& table) {
+namespace {
+
+/// Builds the agent dictionary of one table encoding: every snapshot entry
+/// is given the slot of its id on a first pass, then the distinct ids are
+/// sorted and each entry is written as the rank of its slot. Tables repeat a
+/// handful of competing agents across every server's snapshot, so an id is
+/// found by a linear scan of the few distinct ids seen so far; only a
+/// dictionary past kLinearLimit ids gets a hash probe table. One instance
+/// per thread keeps its buffers across frames.
+class DictionaryEncoder {
+ public:
+  void reset() {
+    ids_.clear();
+    slots_.clear();
+    probe_.clear();
+    next_ = 0;
+  }
+
+  void add(const LockSnapshot& snapshot) {
+    for (const agent::AgentId& id : snapshot.agents) slots_.push_back(slot_of(id));
+  }
+
+  /// The distinct ids, ascending; fixes every slot's rank.
+  void write_dictionary(serial::Writer& w) {
+    order_.resize(ids_.size());
+    for (std::uint32_t k = 0; k < order_.size(); ++k) order_[k] = k;
+    std::sort(order_.begin(), order_.end(),
+              [this](std::uint32_t a, std::uint32_t b) { return ids_[a] < ids_[b]; });
+    rank_.resize(ids_.size());
+    w.varint(order_.size());
+    std::uint64_t prev = 0;
+    for (std::uint32_t k = 0; k < order_.size(); ++k) {
+      rank_[order_[k]] = k;
+      write_id(w, ids_[order_[k]], prev);
+    }
+  }
+
+  /// The next snapshot in add() order, coded against the dictionary.
+  void write_snapshot(serial::Writer& w, const LockSnapshot& snapshot) {
+    w.varint(snapshot.agents.size());
+    for (std::size_t k = 0; k < snapshot.agents.size(); ++k) {
+      w.varint(rank_[slots_[next_++]]);
+    }
+    w.svarint(snapshot.observed_us);
+  }
+
+ private:
+  static constexpr std::size_t kLinearLimit = 4;
+
+  std::uint32_t slot_of(const agent::AgentId& id) {
+    if (probe_.empty()) {
+      for (std::size_t k = 0; k < ids_.size(); ++k) {
+        if (ids_[k] == id) return static_cast<std::uint32_t>(k);
+      }
+      ids_.push_back(id);
+      if (ids_.size() > kLinearLimit) rebuild_probe();
+      return static_cast<std::uint32_t>(ids_.size() - 1);
+    }
+    const std::size_t mask = probe_.size() - 1;
+    for (std::size_t h = agent::AgentIdHash{}(id) & mask;; h = (h + 1) & mask) {
+      if (probe_[h] == 0) {
+        ids_.push_back(id);
+        probe_[h] = static_cast<std::uint32_t>(ids_.size());
+        if (2 * ids_.size() > probe_.size()) rebuild_probe();
+        return static_cast<std::uint32_t>(ids_.size() - 1);
+      }
+      if (ids_[probe_[h] - 1] == id) return probe_[h] - 1;
+    }
+  }
+
+  /// Open addressing, kept at most half full; a cell holds slot + 1
+  /// (0 = empty).
+  void rebuild_probe() {
+    std::size_t size = 64;
+    while (size < 2 * ids_.size()) size *= 2;
+    probe_.assign(size, 0);
+    const std::size_t mask = size - 1;
+    for (std::size_t k = 0; k < ids_.size(); ++k) {
+      std::size_t h = agent::AgentIdHash{}(ids_[k]) & mask;
+      while (probe_[h] != 0) h = (h + 1) & mask;
+      probe_[h] = static_cast<std::uint32_t>(k + 1);
+    }
+  }
+
+  std::vector<agent::AgentId> ids_;    ///< distinct ids, first-seen order
+  std::vector<std::uint32_t> slots_;   ///< per snapshot entry, its id's slot
+  std::vector<std::uint32_t> order_;   ///< slots by ascending id
+  std::vector<std::uint32_t> rank_;    ///< slot -> dictionary index
+  std::vector<std::uint32_t> probe_;
+  std::size_t next_ = 0;
+};
+
+DictionaryEncoder& dictionary_encoder() {
+  thread_local DictionaryEncoder encoder;
+  return encoder;
+}
+
+void write_servers(serial::Writer& w, const LockTable& table, DictionaryEncoder& dict) {
   w.varint(table.size());
   for (const auto& [node, snapshot] : table) {
     w.varint(node);
-    snapshot.serialize(w);
+    dict.write_snapshot(w, snapshot);
   }
 }
 
-LockTable deserialize_lock_table(serial::Reader& r) {
+std::vector<agent::AgentId> read_dictionary(serial::Reader& r) {
+  const std::uint64_t n = r.length_prefix(kMinIdBytes);
+  std::vector<agent::AgentId> dict;
+  dict.reserve(n);
+  std::uint64_t prev = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const agent::AgentId id = read_id(r, prev);
+    if (!dict.empty() && !(dict.back() < id)) {
+      throw serial::MalformedError("agent dictionary not strictly ascending");
+    }
+    dict.push_back(id);
+  }
+  return dict;
+}
+
+LockTable read_servers(serial::Reader& r, const std::vector<agent::AgentId>& dict) {
   // A server id, an agent count and a timestamp: at least three bytes each.
   const std::uint64_t n = r.length_prefix(3);
   LockTable table;
   table.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto node = static_cast<net::NodeId>(r.varint());
-    if (!table.push_back_ascending(node, LockSnapshot::deserialize(r))) {
+    LockSnapshot snapshot;
+    const std::uint64_t count = r.length_prefix(1);
+    snapshot.agents.reserve(count);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const std::uint64_t index = r.varint();
+      if (index >= dict.size()) {
+        throw serial::MalformedError("agent index outside the dictionary");
+      }
+      snapshot.agents.push_back(dict[index]);
+    }
+    snapshot.observed_us = r.svarint();
+    if (!table.push_back_ascending(node, std::move(snapshot))) {
       throw serial::MalformedError("Locking Table servers not strictly ascending");
     }
   }
   return table;
 }
 
+}  // namespace
+
+void serialize_lock_table(serial::Writer& w, const LockTable& table) {
+  DictionaryEncoder& dict = dictionary_encoder();
+  dict.reset();
+  for (const auto& [node, snapshot] : table) dict.add(snapshot);
+  dict.write_dictionary(w);
+  write_servers(w, table, dict);
+}
+
+LockTable deserialize_lock_table(serial::Reader& r) {
+  const std::vector<agent::AgentId> dict = read_dictionary(r);
+  return read_servers(r, dict);
+}
+
 void serialize_group_lock_table(serial::Writer& w, const GroupLockTable& table) {
+  DictionaryEncoder& dict = dictionary_encoder();
+  dict.reset();
+  for (const auto& [group, servers] : table) {
+    for (const auto& [node, snapshot] : servers) dict.add(snapshot);
+  }
+  dict.write_dictionary(w);
   w.varint(table.size());
-  for (const auto& [group, tables] : table) {
+  for (const auto& [group, servers] : table) {
     w.varint(group);
-    serialize_lock_table(w, tables);
+    write_servers(w, servers, dict);
   }
 }
 
 GroupLockTable deserialize_group_lock_table(serial::Reader& r) {
+  const std::vector<agent::AgentId> dict = read_dictionary(r);
   // A group id and an (empty) table's count: at least two bytes each.
   const std::uint64_t n = r.length_prefix(2);
   GroupLockTable table;
   table.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto group = static_cast<shard::GroupId>(r.varint());
-    if (!table.push_back_ascending(group, deserialize_lock_table(r))) {
+    if (!table.push_back_ascending(group, read_servers(r, dict))) {
       throw serial::MalformedError("Locking Table groups not strictly ascending");
     }
   }

@@ -24,14 +24,13 @@ namespace marp::core {
 
 /// One server's locking-list snapshot as known to an agent, stamped with
 /// when it was observed (gossip carries older stamps than personal visits).
+/// On the wire a snapshot is coded against its table's agent dictionary
+/// (see serialize_lock_table), so it has no encoding of its own.
 struct LockSnapshot {
   std::vector<agent::AgentId> agents;
   std::int64_t observed_us = -1;  ///< -1 = never observed
 
   bool known() const noexcept { return observed_us >= 0; }
-
-  void serialize(serial::Writer& w) const;
-  static LockSnapshot deserialize(serial::Reader& r);
 };
 
 /// The agent's Locking Table (LT, §3.2): per-server snapshots, ascending by
@@ -50,10 +49,20 @@ using GroupLockTable = util::FlatMap<shard::GroupId, LockTable>;
 /// merge_ascending() over their sorted views (replica::UpdatedList::sorted).
 using DoneSet = util::FlatSet<agent::AgentId>;
 
-/// The UAL on the wire: count, then the ids ascending. Decoding rejects a
-/// list that is not strictly ascending with serial::MalformedError.
+/// The UAL on the wire: count, then the ids ascending, each as its
+/// `created_us` delta from the previous id (the first from 0), origin and
+/// seq. Decoding rejects a list that is not strictly ascending with
+/// serial::MalformedError.
 void serialize_done_set(serial::Writer& w, const DoneSet& done);
 DoneSet deserialize_done_set(serial::Reader& r);
+
+/// Drop every agent in `done` from `snapshot`, keeping the queue order.
+/// Finished agents can never be a filtered head again, so this changes no
+/// decision over any done set that contains `done` (the UAL only grows).
+void strip_done(LockSnapshot& snapshot, const DoneSet& done);
+/// Drop `finished` (strictly ascending: the ids a UAL fold just learned)
+/// from every snapshot of `table`.
+void strip_done(GroupLockTable& table, const std::vector<agent::AgentId>& finished);
 
 /// Effective head of a snapshot once finished agents are filtered out.
 /// Entries ahead of a live agent can only disappear by finishing, so the
@@ -148,15 +157,24 @@ std::vector<agent::AgentId> predicted_order(const LockTable& table,
                                             std::size_t limit = 0);
 
 /// Merge `incoming` into `table`, keeping the fresher snapshot per server
-/// (one linear pass; unknown incoming snapshots are ignored).
-void merge_lock_tables(LockTable& table, const LockTable& incoming);
+/// (one linear pass; unknown incoming snapshots are ignored). With `strip`,
+/// a snapshot taken over from `incoming` is copied without the agents in
+/// `*strip` (an agent keeps its table free of its own UAL this way).
+void merge_lock_tables(LockTable& table, const LockTable& incoming,
+                       const DoneSet* strip = nullptr);
 
 /// Group-wise merge: per (group, server), the fresher snapshot wins.
 void merge_group_lock_tables(GroupLockTable& table, const GroupLockTable& incoming);
 
-/// Tables travel in ascending key order; decoding rejects a server (or
-/// group) list that is out of order or repeats a key with
-/// serial::MalformedError.
+/// A table on the wire is dictionary-coded: first the distinct agents of all
+/// its snapshots, once each, as a strictly ascending id list (the UAL's
+/// coding above); then the servers (per group, for a GroupLockTable)
+/// ascending, each as its id, an agent count, that many dictionary indices
+/// in queue order, and `observed_us`. Decoding rejects with
+/// serial::MalformedError a dictionary that is not strictly ascending, an
+/// index outside the dictionary, and a server or group list that is out of
+/// order or repeats a key; a count that exceeds the bytes left is rejected
+/// before anything is allocated.
 void serialize_lock_table(serial::Writer& w, const LockTable& table);
 LockTable deserialize_lock_table(serial::Reader& r);
 

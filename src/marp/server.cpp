@@ -258,15 +258,13 @@ VisitResult MarpServer::visit(const agent::AgentId& visitor,
     // information at the servers they visited" (§3.3). Only the visitor's
     // own groups are exchanged — gossip stays proportional to the write-set.
     merge_group_lock_tables(gossip_cache_, carried_gossip);
-    for (const shard::GroupId g : groups) {
-      if (auto it = gossip_cache_.find(g); it != gossip_cache_.end()) {
-        result.gossip.emplace(g, it->second);
-      }
-    }
     // The agent also leaves this server's own fresh snapshots for others.
+    // (The visitor holds the same snapshots at the same stamp, so reading
+    // them back from the cache changes nothing for it.)
     for (const shard::GroupId g : groups) {
       gossip_cache_[g][node_] = result.locking_lists.at(g);
     }
+    result.gossip = &gossip_cache_;
   }
   return result;
 }
@@ -375,10 +373,16 @@ void MarpServer::handle_commit_local(const CommitPayload& payload) {
 }
 
 void MarpServer::handle_release_local(const ReleasePayload& payload) {
-  staged_.erase(payload.agent);
-  agent_activity_.erase(payload.agent);
-  lock_space_.release_grants(payload.agent, kAnyAttempt);
-  unlocked_attempts_.erase(payload.agent);
+  if (payload.attempt == ReleasePayload::kFinal) {
+    staged_.erase(payload.agent);
+    agent_activity_.erase(payload.agent);
+    lock_space_.release_grants(payload.agent, kAnyAttempt);
+    unlocked_attempts_.erase(payload.agent);
+  } else {
+    // A re-touring agent: its attempts up to payload.attempt end here, as
+    // with UNLOCK; a grant its next attempt already took stays.
+    handle_unlock_local(payload.agent, payload.attempt);
+  }
   if (lock_space_.remove_from_lists(payload.agent, payload.groups)) {
     if (auto* tracer = protocol_.tracer()) tracer->ll_remove_all(payload.agent, node_);
     signal_lock_changed();

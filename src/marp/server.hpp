@@ -40,7 +40,7 @@ inline constexpr const char* kMarpServiceName = "marp";
 /// What a visiting agent takes away from one local interaction (§3.3): the
 /// locking lists of the groups its write-set touches (with itself appended),
 /// the updated list, the routing table, the freshest local copies of the
-/// keys it will write, and any gossip left by earlier visitors.
+/// keys it will write, and the gossip left at this server.
 struct VisitResult {
   std::map<shard::GroupId, LockSnapshot> locking_lists;
   /// The server's Updated List, ascending by id — a view into the server,
@@ -48,7 +48,11 @@ struct VisitResult {
   replica::UpdatedList::SortedView updated_list;
   std::vector<std::int64_t> routing_costs;
   std::map<std::string, replica::VersionedValue> data;
-  GroupLockTable gossip;
+  /// The server's gossip cache (null without gossip), read in place: every
+  /// group's tables as merged from all visitors so far, this one and the
+  /// server's own fresh snapshots included. Valid until the server next
+  /// changes; a visitor reads only the groups of its `locking_lists`.
+  const GroupLockTable* gossip = nullptr;
   /// Server's membership epoch at visit time (0 = static membership). A
   /// visiting agent born under an older epoch must abort-and-re-tour.
   std::uint64_t epoch = 0;

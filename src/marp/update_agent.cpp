@@ -10,6 +10,29 @@
 
 namespace marp::core {
 
+namespace {
+
+/// Fold a server's Updated List into the UAL and keep the Locking Tables
+/// free of UAL members: the held snapshots can only now list the ids this
+/// fold learned, so only those are stripped.
+void fold_updated_list(DoneSet& ual, GroupLockTable& lt,
+                       const replica::UpdatedList::SortedView& list) {
+  thread_local std::vector<agent::AgentId> learned;
+  learned.clear();
+  ual.merge_ascending(list, &learned);
+  strip_done(lt, learned);
+}
+
+/// Take over a fresh Locking-List snapshot, stripped against the full UAL.
+void adopt_snapshot(GroupLockTable& lt, const DoneSet& ual, shard::GroupId group,
+                    net::NodeId node, LockSnapshot&& snapshot) {
+  LockSnapshot& slot = lt[group][node];
+  slot = std::move(snapshot);
+  strip_done(slot, ual);
+}
+
+}  // namespace
+
 UpdateAgent::UpdateAgent(net::NodeId origin, std::vector<PendingWrite> writes)
     : origin_(origin), writes_(std::move(writes)) {
   MARP_REQUIRE(!writes_.empty());
@@ -316,11 +339,21 @@ void UpdateAgent::do_visit(agent::AgentContext& ctx) {
     return;
   }
 
+  // Done-free Locking Tables: no snapshot the agent holds lists a member of
+  // its UAL. The UAL only grows, and an entry already in it can never be a
+  // filtered head again, so stripping changes no decision — it only keeps
+  // finished agents out of every later evaluation and migration.
+  fold_updated_list(ual_, lt_, result.updated_list);
   for (auto& [group, snapshot] : result.locking_lists) {
-    lt_[group][ctx.here()] = std::move(snapshot);
+    adopt_snapshot(lt_, ual_, group, ctx.here(), std::move(snapshot));
   }
-  if (config.gossip) merge_group_lock_tables(lt_, result.gossip);
-  ual_.merge_ascending(result.updated_list);
+  if (result.gossip != nullptr) {
+    for (const auto& [group, snapshot] : result.locking_lists) {
+      if (const auto it = result.gossip->find(group); it != result.gossip->end()) {
+        merge_lock_tables(lt_[group], it->second, &ual_);
+      }
+    }
+  }
   for (const auto& [key, value] : result.data) {
     auto& best = freshest_[key];
     if (value.version > best.version) best = value;
@@ -494,7 +527,8 @@ void UpdateAgent::withdraw_and_requeue(agent::AgentContext& ctx) {
   // at the tails, behind everything it was blocking. Should a re-appended
   // entry race a still-in-flight RELEASE and get swallowed, refresh()
   // re-inserts the parked waiter on the next signal or patrol visit.
-  const ReleasePayload release{id(), groups_};
+  ReleasePayload release{id(), groups_};
+  release.attempt = attempt_seq_;
   ctx.broadcast(kMsgRelease, release.encode());
   server.handle_release_local(release);
   do_visit(ctx);
@@ -531,7 +565,8 @@ void UpdateAgent::retour(agent::AgentContext& ctx,
   stall_since_us_ = ctx.now().as_micros();
   // Leave every Locking List and release any grants the withdrawn attempt
   // held; the fresh tour re-queues this agent at the new replicas' tails.
-  const ReleasePayload release{id(), groups_};
+  ReleasePayload release{id(), groups_};
+  release.attempt = attempt_seq_;
   ctx.broadcast(kMsgRelease, release.encode());
   server.handle_release_local(release);
   do_visit(ctx);
@@ -1046,10 +1081,10 @@ void UpdateAgent::on_signal(agent::AgentContext& ctx, std::uint32_t signal) {
   // this path must stay light.
   MarpServer& server = server_here(ctx);
   MarpServer::RefreshResult result = server.refresh(id(), groups_);
+  fold_updated_list(ual_, lt_, result.updated_list);
   for (auto& [group, snapshot] : result.locking_lists) {
-    lt_[group][ctx.here()] = std::move(snapshot);
+    adopt_snapshot(lt_, ual_, group, ctx.here(), std::move(snapshot));
   }
-  ual_.merge_ascending(result.updated_list);
   evaluate(ctx);
 }
 
@@ -1117,7 +1152,7 @@ void UpdateAgent::deserialize(serial::Reader& r) {
   dispatched_us_ = r.svarint();
   lock_obtained_us_ = r.svarint();
   auto read_nodes = [](serial::Reader& rr) {
-    const std::uint64_t n = rr.varint();
+    const std::uint64_t n = rr.length_prefix();  // checked before reserving
     std::vector<net::NodeId> nodes;
     nodes.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -248,6 +249,9 @@ struct UnlockPayload {
 /// RELEASE: an aborting agent withdraws its lock requests from `groups`
 /// (every group when empty).
 struct ReleasePayload {
+  /// `attempt` of a final RELEASE: the agent is done, every grant goes.
+  static constexpr std::uint32_t kFinal = std::numeric_limits<std::uint32_t>::max();
+
   agent::AgentId agent;
   std::vector<shard::GroupId> groups;
   /// Node hosting the releasing agent; valid only when the sender wants an
@@ -255,12 +259,19 @@ struct ReleasePayload {
   /// the wire is otherwise fatal: the dead entry stays at the head of the
   /// Locking List forever and wedges the server.
   net::NodeId reply_to = net::kInvalidNode;
+  /// A live agent that re-tours (withdraw-and-requeue, epoch re-tour)
+  /// withdraws only its update attempts up to this one: its next UPDATE
+  /// leaves at the same instant and may overtake the RELEASE, and the grant
+  /// that UPDATE takes must survive it. Trailing and optional on the wire
+  /// (absent = kFinal), so a final RELEASE keeps its bytes.
+  std::uint32_t attempt = kFinal;
 
   serial::Bytes encode() const {
     serial::Writer w;
     agent.serialize(w);
     wire_detail::write_groups(w, groups);
     w.varint(reply_to);
+    if (attempt != kFinal) w.varint(attempt);
     return w.take();
   }
   static ReleasePayload decode(const serial::Bytes& bytes) {
@@ -269,6 +280,7 @@ struct ReleasePayload {
     p.agent = agent::AgentId::deserialize(r);
     p.groups = wire_detail::read_groups(r);
     p.reply_to = static_cast<net::NodeId>(r.varint());
+    if (!r.at_end()) p.attempt = static_cast<std::uint32_t>(r.varint());
     return p;
   }
 };

@@ -61,14 +61,18 @@ class FlatSet {
   /// Union with a strictly ascending sequence `in` (anything with size()
   /// and operator[]). Elements already present are found by a forward-only
   /// binary search; only if some are new does the set grow, by one backward
-  /// merge in place (no temporary buffer).
+  /// merge in place (no temporary buffer). When `added` is given, the
+  /// elements that were new are appended to it, ascending.
   template <typename Seq>
-  void merge_ascending(const Seq& in) {
+  void merge_ascending(const Seq& in, std::vector<T>* added = nullptr) {
     std::size_t missing = 0;
     auto pos = items_.begin();
     for (std::size_t k = 0; k < in.size(); ++k) {
       pos = std::lower_bound(pos, items_.end(), in[k]);
-      if (pos == items_.end() || !(*pos == in[k])) ++missing;
+      if (pos == items_.end() || !(*pos == in[k])) {
+        ++missing;
+        if (added != nullptr) added->push_back(in[k]);
+      }
     }
     if (missing == 0) return;
     const std::size_t old_size = items_.size();
@@ -181,9 +185,10 @@ class FlatMap {
   }
 
   /// Linear merge of another map: entries of `other` that pass `keep` are
-  /// offered to `update(mine, theirs)` where the key exists here, and copied
-  /// in where it does not. New keys are placed by one backward merge in
-  /// place, after the existing keys have been updated.
+  /// offered to `update(mine, theirs)`, where `mine` is the existing value
+  /// or, for a key not here yet, a value-initialised one inserted for it.
+  /// New keys are placed by one backward merge in place, after the existing
+  /// keys have been updated.
   template <typename Keep, typename Update>
   void merge(const FlatMap& other, Keep&& keep, Update&& update) {
     std::size_t missing = 0;
@@ -212,7 +217,8 @@ class FlatMap {
       } else if (i > 0 && theirs.first == items_[i - 1].first) {
         --j;  // already updated in the first pass
       } else {
-        items_[--w] = theirs;
+        items_[--w] = value_type{theirs.first, V{}};
+        update(items_[w].second, theirs.second);
         --j;
       }
     }

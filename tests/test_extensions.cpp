@@ -316,6 +316,32 @@ TEST(UpdateGrants, UnlockOfOlderAttemptDoesNotReleaseNewer) {
   EXPECT_FALSE(server.update_holder().has_value());
 }
 
+TEST(UpdateGrants, OvertakenWithdrawalReleaseKeepsTheNextAttemptsGrant) {
+  // A re-touring agent broadcasts RELEASE and may claim again at once; its
+  // attempt-6 UPDATE can reach a server before the RELEASE that withdrew
+  // attempt 5. The late RELEASE must not free the grant attempt 6 holds —
+  // the agent would commit on a quorum another session also holds.
+  Stack stack(5);
+  MarpServer& server = stack.protocol.server(0);
+  const agent::AgentId agent{1, 100, 0};
+  EXPECT_EQ(server.handle_update_local(UpdatePayload{agent, 1, 6, {}, {}}),
+            MarpServer::GrantResult::Granted);
+  ReleasePayload withdrawal{agent, {}};
+  withdrawal.attempt = 5;
+  server.handle_release_local(ReleasePayload::decode(withdrawal.encode()));
+  ASSERT_TRUE(server.update_holder().has_value());
+  EXPECT_EQ(*server.update_holder(), agent);
+  // The withdrawn attempt's delayed UPDATE stays dead.
+  EXPECT_EQ(server.handle_update_local(UpdatePayload{agent, 1, 5, {}, {}}),
+            MarpServer::GrantResult::Stale);
+  // A final RELEASE (an abort) frees every grant; its bytes carry no attempt.
+  const ReleasePayload final_release{agent, {}};
+  EXPECT_EQ(ReleasePayload::decode(final_release.encode()).attempt, ReleasePayload::kFinal);
+  EXPECT_LT(final_release.encode().size(), withdrawal.encode().size());
+  server.handle_release_local(ReleasePayload::decode(final_release.encode()));
+  EXPECT_FALSE(server.update_holder().has_value());
+}
+
 // ---------- wire round trips for the extension payloads ----------
 
 TEST(Wire, ReadReportRoundTrip) {

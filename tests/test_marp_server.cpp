@@ -77,22 +77,24 @@ TEST(MarpServerVisit, GossipIsStoredAndReturnedFresher) {
 
   // Visitor 2 receives it back...
   const auto result = server.visit(aid(2), {}, {});
-  ASSERT_TRUE(result.gossip.contains(0));
-  ASSERT_TRUE(result.gossip.at(0).contains(2));
-  EXPECT_EQ(result.gossip.at(0).at(2).agents.front(), aid(9));
-  // ...plus this server's own fresh snapshot left by visitor 1's visit.
-  ASSERT_TRUE(result.gossip.at(0).contains(0));
+  ASSERT_NE(result.gossip, nullptr);
+  ASSERT_TRUE(result.gossip->contains(0));
+  ASSERT_TRUE(result.gossip->at(0).contains(2));
+  EXPECT_EQ(result.gossip->at(0).at(2).agents.front(), aid(9));
+  // ...plus this server's own fresh snapshot, as of this visit.
+  ASSERT_TRUE(result.gossip->at(0).contains(0));
+  EXPECT_EQ(result.gossip->at(0).at(0).agents, result.locking_lists.at(0).agents);
 
   // A staler carried snapshot does not overwrite the cache.
   GroupLockTable stale;
   stale[0][2] = LockSnapshot{{aid(8)}, 10};
   const auto after_stale = server.visit(aid(3), {}, stale);
-  EXPECT_EQ(after_stale.gossip.at(0).at(2).agents.front(), aid(9));
+  EXPECT_EQ(after_stale.gossip->at(0).at(2).agents.front(), aid(9));
   // A fresher one does.
   GroupLockTable fresher;
   fresher[0][2] = LockSnapshot{{aid(7)}, 90};
   const auto after_fresh = server.visit(aid(4), {}, fresher);
-  EXPECT_EQ(after_fresh.gossip.at(0).at(2).agents.front(), aid(7));
+  EXPECT_EQ(after_fresh.gossip->at(0).at(2).agents.front(), aid(7));
 }
 
 TEST(MarpServerVisit, GossipDisabledReturnsNothing) {
@@ -103,21 +105,30 @@ TEST(MarpServerVisit, GossipDisabledReturnsNothing) {
   GroupLockTable carried;
   carried[0][2] = LockSnapshot{{aid(9)}, 50};
   const auto result = server.visit(aid(1), {}, carried);
-  EXPECT_TRUE(result.gossip.empty());
+  EXPECT_EQ(result.gossip, nullptr);
   const auto second = server.visit(aid(2), {}, {});
-  EXPECT_TRUE(second.gossip.empty());
+  EXPECT_EQ(second.gossip, nullptr);
 }
 
 TEST(MarpServerVisit, RefreshIsAppendingButLight) {
-  Stack stack(3);
+  MarpConfig config;
+  config.num_lock_groups = 2;
+  Stack stack(3, config);
   MarpServer& server = stack.protocol.server(0);
   const auto refresh = server.refresh(aid(5));
   EXPECT_EQ(refresh.locking_lists.at(0).agents,
             (std::vector<agent::AgentId>{aid(5)}));
   EXPECT_TRUE(refresh.updated_list.empty());
-  // Refresh did not pollute the gossip cache.
+  const auto other_group = server.refresh(aid(5), {1});
+  EXPECT_EQ(other_group.locking_lists.at(1).agents,
+            (std::vector<agent::AgentId>{aid(5)}));
+  // Refresh did not pollute the gossip cache: after a group-0 visit it
+  // holds only the snapshot that visit left, and nothing of group 1.
   const auto visit = server.visit(aid(6), {}, {});
-  EXPECT_TRUE(visit.gossip.empty());
+  ASSERT_NE(visit.gossip, nullptr);
+  ASSERT_EQ(visit.gossip->size(), 1u);
+  ASSERT_EQ(visit.gossip->at(0).size(), 1u);
+  EXPECT_EQ(visit.gossip->at(0).at(0).agents, visit.locking_lists.at(0).agents);
 }
 
 TEST(MarpServerVisit, VisitOnFailedServerIsAContractViolation) {
@@ -239,7 +250,8 @@ TEST(UpdatedListIndex, EvictedEntriesAreNoLongerContained) {
 
 /// An UpdateAgent frame laid out field by field as UpdateAgent::serialize
 /// writes it, with the Locking Tables and UAL supplied by `lt_and_ual`.
-serial::Bytes update_agent_frame(const std::function<void(serial::Writer&)>& lt_and_ual) {
+serial::Bytes update_agent_frame(const std::function<void(serial::Writer&)>& lt_and_ual,
+                                 std::uint64_t usl_count = 0) {
   serial::Writer state;
   state.varint(0);  // origin
   state.varint(1);  // one pending write
@@ -249,7 +261,7 @@ serial::Bytes update_agent_frame(const std::function<void(serial::Writer&)>& lt_
   state.u8(0);       // phase: Traveling
   state.svarint(0);  // dispatched
   state.svarint(0);  // lock obtained
-  state.varint(0);   // USL
+  state.varint(usl_count);  // USL (no entries follow)
   state.varint(0);   // visited
   state.varint(0);   // unavailable
   state.varint(1);   // lock groups {0}
@@ -280,53 +292,190 @@ serial::Bytes update_agent_frame(const std::function<void(serial::Writer&)>& lt_
   return frame.take();
 }
 
-/// Group-table body: one group 0 whose servers are `nodes` (in the given
-/// order), followed by a UAL of `ual` (in the given order).
-serial::Bytes frame_with(const std::vector<net::NodeId>& nodes,
-                         const std::vector<agent::AgentId>& ual,
-                         const std::vector<shard::GroupId>& groups = {0}) {
+/// An ascending-id-list field (the agent dictionary or the UAL) coded as
+/// the decoder reads it — the count, then per id its created_us delta from
+/// the previous id, origin and seq — but in the order given, so a test can
+/// also write a list that is out of order.
+void write_id_list(serial::Writer& w, const std::vector<agent::AgentId>& ids) {
+  w.varint(ids.size());
+  std::uint64_t prev = 0;
+  for (const agent::AgentId& id : ids) {
+    const auto created = static_cast<std::uint64_t>(id.created_us);
+    w.varint(created - prev);
+    w.varint(id.origin);
+    w.varint(id.seq);
+    prev = created;
+  }
+}
+
+/// The Locking-Table and UAL fields of a frame, written field by field:
+/// the agent dictionary, then every group in `groups` with every server in
+/// `nodes`, each holding the snapshot `indices` (stamp 10), then the UAL.
+struct TableFields {
+  std::vector<agent::AgentId> dictionary{aid(1)};
+  std::vector<shard::GroupId> groups{0};
+  std::vector<net::NodeId> nodes{0, 1};
+  std::vector<std::uint64_t> indices{0};
+  std::vector<agent::AgentId> ual{aid(2)};
+};
+
+serial::Bytes frame_with(const TableFields& f) {
   return update_agent_frame([&](serial::Writer& w) {
-    w.varint(groups.size());
-    for (const shard::GroupId g : groups) {
+    write_id_list(w, f.dictionary);
+    w.varint(f.groups.size());
+    for (const shard::GroupId g : f.groups) {
       w.varint(g);
-      w.varint(nodes.size());
-      for (const net::NodeId node : nodes) {
+      w.varint(f.nodes.size());
+      for (const net::NodeId node : f.nodes) {
         w.varint(node);
-        LockSnapshot{{aid(1)}, 10}.serialize(w);
+        w.varint(f.indices.size());
+        for (const std::uint64_t index : f.indices) w.varint(index);
+        w.svarint(10);
       }
     }
-    w.varint(ual.size());
-    for (const agent::AgentId& id : ual) id.serialize(w);
+    write_id_list(w, f.ual);
   });
+}
+
+TableFields well_formed_fields() {
+  TableFields f;
+  f.dictionary = {aid(1), aid(3)};
+  f.groups = {0, 3};
+  f.nodes = {0, 2};
+  f.indices = {1, 0};
+  f.ual = {aid(2), aid(4)};
+  return f;
 }
 
 TEST(HostileAgentFrame, WellFormedHandBuiltFrameDecodes) {
   Stack stack(3);
-  const auto agent = stack.platform.decode_frame(frame_with({0, 2}, {aid(1), aid(2)}, {0, 3}));
+  const serial::Bytes bytes = frame_with(well_formed_fields());
+  const auto agent = stack.platform.decode_frame(bytes);
   const auto& update = dynamic_cast<const UpdateAgent&>(*agent);
   EXPECT_EQ(update.id(), aid(42));
-  EXPECT_EQ(update.updated_agents(), (DoneSet{aid(1), aid(2)}));
+  EXPECT_EQ(update.updated_agents(), (DoneSet{aid(2), aid(4)}));
   ASSERT_EQ(update.lock_tables().size(), 2u);
   EXPECT_EQ(update.lock_tables().at(3).size(), 2u);
+  EXPECT_EQ(update.lock_tables().at(3).at(2).agents,
+            (std::vector<agent::AgentId>{aid(3), aid(1)}));
+  EXPECT_EQ(update.lock_tables().at(3).at(2).observed_us, 10);
   // And it re-encodes to the very same bytes.
-  const serial::Bytes bytes = frame_with({0, 2}, {aid(1), aid(2)}, {0, 3});
   EXPECT_EQ(stack.platform.encode_frame(*agent), bytes);
 }
 
 TEST(HostileAgentFrame, UnorderedOrRepeatedKeysAreTypedRejections) {
   Stack stack(3);
+  const auto with = [](const std::function<void(TableFields&)>& edit) {
+    TableFields f;
+    edit(f);
+    return frame_with(f);
+  };
+  const agent::AgentId early_high{2, 100, 0};
+  const agent::AgentId early_low{1, 100, 0};
   const std::vector<serial::Bytes> hostile = {
-      frame_with({0, 1}, {aid(2), aid(1)}),         // UAL descending
-      frame_with({0, 1}, {aid(1), aid(1)}),         // UAL repeats an id
-      frame_with({2, 1}, {aid(1)}),                 // servers descending
-      frame_with({1, 1}, {aid(1)}),                 // server repeated
-      frame_with({0, 1}, {aid(1)}, {3, 0}),         // groups descending
-      frame_with({0, 1}, {aid(1)}, {0, 0}),         // group repeated
+      with([](TableFields& f) { f.ual = {aid(2), aid(1)}; }),      // UAL descending
+      with([](TableFields& f) { f.ual = {aid(1), aid(1)}; }),      // UAL repeats an id
+      with([](TableFields& f) { f.nodes = {2, 1}; }),              // servers descending
+      with([](TableFields& f) { f.nodes = {1, 1}; }),              // server repeated
+      with([](TableFields& f) { f.groups = {3, 0}; }),             // groups descending
+      with([](TableFields& f) { f.groups = {0, 0}; }),             // group repeated
+      with([](TableFields& f) { f.dictionary = {aid(2), aid(1)}; }),  // dictionary descending
+      with([](TableFields& f) { f.dictionary = {aid(1), aid(1)}; }),  // dictionary repeats an id
+      // Same created_us (delta 0), origin descending.
+      with([&](TableFields& f) { f.dictionary = {early_high, early_low}; }),
+      with([](TableFields& f) { f.indices = {1}; }),               // index == dictionary size
+      with([](TableFields& f) { f.indices = {0, 1u << 20}; }),     // index far outside
   };
   for (std::size_t i = 0; i < hostile.size(); ++i) {
     EXPECT_THROW(stack.platform.decode_frame(hostile[i]), serial::MalformedError)
         << "case " << i;
   }
+}
+
+TEST(HostileAgentFrame, CountsBeyondTheRemainingBytesAreTypedRejections) {
+  Stack stack(3);
+  const std::vector<serial::Bytes> hostile = {
+      update_agent_frame([](serial::Writer& w) { w.varint(1000); }),  // dictionary
+      update_agent_frame([](serial::Writer& w) {                      // groups
+        write_id_list(w, {aid(1)});
+        w.varint(1000);
+      }),
+      update_agent_frame([](serial::Writer& w) {  // servers of a group
+        write_id_list(w, {aid(1)});
+        w.varint(1);
+        w.varint(0);
+        w.varint(1000);
+      }),
+      update_agent_frame([](serial::Writer& w) {  // agents of a snapshot
+        write_id_list(w, {aid(1)});
+        w.varint(1);
+        w.varint(0);
+        w.varint(1);
+        w.varint(0);
+        w.varint(5000);
+      }),
+      update_agent_frame([](serial::Writer& w) {  // UAL
+        write_id_list(w, {});
+        w.varint(0);
+        w.varint(1000);
+      }),
+      update_agent_frame([](serial::Writer& w) {  // no allocation for 2^62 ids
+        w.varint(std::uint64_t{1} << 62);
+      }),
+      // Nor for 2^40 USL servers: the count is checked before reserving.
+      update_agent_frame([](serial::Writer& w) { w.varint(0); }, std::uint64_t{1} << 40),
+  };
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    EXPECT_THROW(stack.platform.decode_frame(hostile[i]), serial::MalformedError)
+        << "case " << i;
+  }
+}
+
+TEST(HostileAgentFrame, TruncationAtEveryByteIsATypedRejection) {
+  Stack stack(3);
+  const serial::Bytes frame = frame_with(well_formed_fields());
+  // Cut the frame itself...
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    const serial::Bytes prefix(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW(stack.platform.decode_frame(prefix), serial::DecodeError) << "cut " << cut;
+  }
+  // ...and the agent state inside a frame whose length prefix is honest, so
+  // the state decoder itself meets the end of its bytes at every field.
+  serial::Reader r(frame);
+  const std::string type = r.str();
+  const agent::AgentId id = agent::AgentId::deserialize(r);
+  const serial::Bytes state = r.raw();
+  for (std::size_t cut = 0; cut < state.size(); ++cut) {
+    serial::Writer w;
+    w.str(type);
+    id.serialize(w);
+    w.raw(serial::Bytes(state.begin(), state.begin() + static_cast<std::ptrdiff_t>(cut)));
+    EXPECT_THROW(stack.platform.decode_frame(w.bytes()), serial::DecodeError)
+        << "state cut " << cut;
+  }
+}
+
+TEST(HostileAgentFrame, UnknownTypeAndTrailingStateAreTypedRejections) {
+  Stack stack(3);
+  const serial::Bytes frame = frame_with(well_formed_fields());
+  serial::Reader r(frame);
+  (void)r.str();
+  const agent::AgentId id = agent::AgentId::deserialize(r);
+  serial::Bytes state = r.raw();
+
+  serial::Writer unknown;
+  unknown.str("marp.nonesuch");
+  id.serialize(unknown);
+  unknown.raw(state);
+  EXPECT_THROW(stack.platform.decode_frame(unknown.bytes()), serial::MalformedError);
+
+  state.push_back(0);  // the static path reads a trailing epoch varint...
+  state.push_back(0);  // ...but nothing after it
+  serial::Writer trailing;
+  trailing.str(kUpdateAgentType);
+  id.serialize(trailing);
+  trailing.raw(state);
+  EXPECT_THROW(stack.platform.decode_frame(trailing.bytes()), serial::MalformedError);
 }
 
 TEST(MarpTopologies, StarConverges) {

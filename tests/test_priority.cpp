@@ -7,6 +7,7 @@
 #include <set>
 
 #include "marp/priority.hpp"
+#include "quorum/quorum.hpp"
 #include "sim/random.hpp"
 
 namespace marp::core {
@@ -394,15 +395,30 @@ TEST(FlatDoneSet, RandomInsertsAndMergesMatchStdSet) {
   }
 }
 
+/// The ascending id-list coding restated over a std::set: the count, then
+/// per id its created_us delta from the previous id (the first from 0),
+/// origin and seq.
+void ref_write_ids(serial::Writer& w, const std::set<agent::AgentId>& ids) {
+  w.varint(ids.size());
+  std::int64_t prev = 0;
+  for (const agent::AgentId& id : ids) {
+    w.varint(static_cast<std::uint64_t>(id.created_us - prev));
+    w.varint(id.origin);
+    w.varint(id.seq);
+    prev = id.created_us;
+  }
+}
+
 TEST(FlatDoneSet, WireFormIsAscendingAndRoundTrips) {
   const DoneSet done{aid(3), aid(1), aid(2), aid(1)};
   serial::Writer w;
   serialize_done_set(w, done);
-  // The bytes a std::set<AgentId> wrote: the count, then ids ascending.
+  // The ids ascending and delta-coded on created_us: aid(n) is created at
+  // n * 100, so every delta after the first is 100.
   serial::Writer expected;
-  expected.varint(3);
-  for (const auto& id : std::set<agent::AgentId>{aid(1), aid(2), aid(3)}) id.serialize(expected);
+  ref_write_ids(expected, {aid(1), aid(2), aid(3)});
   EXPECT_EQ(w.bytes(), expected.bytes());
+  EXPECT_EQ(w.bytes(), (serial::Bytes{3, 100, 1, 0, 100, 2, 0, 100, 3, 0}));
   serial::Reader r(w.bytes());
   EXPECT_EQ(deserialize_done_set(r), done);
   EXPECT_TRUE(r.at_end());
@@ -436,14 +452,38 @@ void expect_same_table(const LockTable& flat, const RefTable& ref) {
     EXPECT_EQ(snapshot.observed_us, it->second.observed_us);
     ++it;
   }
+  // The dictionary-coded bytes restated over std containers: the distinct
+  // agents ascending, then per server its id, count, dictionary indices in
+  // queue order and stamp.
   serial::Writer a, b;
   serialize_lock_table(a, flat);
+  std::set<agent::AgentId> distinct;
+  for (const auto& [node, snapshot] : ref) {
+    distinct.insert(snapshot.agents.begin(), snapshot.agents.end());
+  }
+  std::map<agent::AgentId, std::uint64_t> index;
+  for (const agent::AgentId& id : distinct) index.emplace(id, index.size());
+  ref_write_ids(b, distinct);
   b.varint(ref.size());
   for (const auto& [node, snapshot] : ref) {
     b.varint(node);
-    snapshot.serialize(b);
+    b.varint(snapshot.agents.size());
+    for (const agent::AgentId& id : snapshot.agents) b.varint(index.at(id));
+    b.svarint(snapshot.observed_us);
   }
   EXPECT_EQ(a.bytes(), b.bytes());
+  // And it round-trips.
+  serial::Reader r(a.bytes());
+  const LockTable copy = deserialize_lock_table(r);
+  EXPECT_TRUE(r.at_end());
+  ASSERT_EQ(copy.size(), flat.size());
+  auto mine = flat.begin();
+  for (const auto& [node, snapshot] : copy) {
+    EXPECT_EQ(node, mine->first);
+    EXPECT_EQ(snapshot.agents, mine->second.agents);
+    EXPECT_EQ(snapshot.observed_us, mine->second.observed_us);
+    ++mine;
+  }
 }
 
 TEST(FlatLockTable, RandomWritesAndMergesMatchStdMap) {
@@ -530,6 +570,104 @@ TEST(DecideOnePass, AgreesWithOracleAndTopCountsOverThousandsOfTables) {
       } else {
         ASSERT_EQ(d.kind, self == *expected ? Decision::Kind::Win : Decision::Kind::Lose);
         ASSERT_EQ(*d.winner, *expected);
+      }
+    }
+  }
+}
+
+// ---- Done-free Locking Tables: stripping the UAL changes no decision ----
+
+TEST(DoneFree, StrippedTablesDecideAsUnstrippedForEverySupersetUal) {
+  sim::Rng rng(1404);
+  quorum::QuorumSpec grid_spec;
+  grid_spec.geometry = quorum::Geometry::Grid;
+  const VoteWeights weights = {1, 2, 1, 3, 1, 1, 2, 1, 1};
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::size_t n = 1 + rng.bounded(9);
+    std::vector<agent::AgentId> ids;
+    for (std::uint32_t a = 0; a < 1 + rng.bounded(8); ++a) ids.push_back(aid(a + 1));
+    LockTable table;
+    for (net::NodeId s = 0; s < n; ++s) {
+      if (rng.bounded(4) == 0) continue;
+      std::vector<agent::AgentId> queue = ids;
+      rng.shuffle(queue);
+      queue.resize(rng.bounded(queue.size() + 1));
+      table[s] = LockSnapshot{std::move(queue), rng.bounded(6) == 0 ? -1 : trial};
+    }
+    DoneSet ual;
+    for (const auto& id : ids) {
+      if (rng.bounded(3) == 0) ual.insert(id);
+    }
+    LockTable stripped = table;
+    for (auto& [node, snapshot] : stripped) {
+      strip_done(snapshot, ual);
+      for (const auto& id : snapshot.agents) ASSERT_FALSE(ual.contains(id));
+    }
+    const VoteWeights votes(weights.begin(),
+                            weights.begin() + static_cast<std::ptrdiff_t>(n));
+    const auto grid = quorum::make_quorum_system(grid_spec, n);
+
+    // Every superset UAL' of the UAL: each other id joins it or not.
+    std::vector<agent::AgentId> rest;
+    for (const auto& id : ids) {
+      if (!ual.contains(id)) rest.push_back(id);
+    }
+    for (std::uint32_t mask = 0; mask < (1u << rest.size()); ++mask) {
+      DoneSet superset = ual;
+      for (std::size_t k = 0; k < rest.size(); ++k) {
+        if ((mask >> k) & 1u) superset.insert(rest[k]);
+      }
+      ASSERT_EQ(top_counts(stripped, superset), top_counts(table, superset));
+      ASSERT_EQ(top_counts(stripped, superset, votes), top_counts(table, superset, votes));
+      ASSERT_EQ(predicted_order(stripped, superset, n), predicted_order(table, superset, n));
+      for (const auto& self : ids) {
+        for (const TieBreakMode mode : {TieBreakMode::TotalOrder, TieBreakMode::PaperLiteral}) {
+          const Decision a = decide(stripped, superset, self, n, mode, votes);
+          const Decision b = decide(table, superset, self, n, mode, votes);
+          ASSERT_EQ(a.kind, b.kind);
+          ASSERT_EQ(a.winner, b.winner);
+        }
+        const Decision a = decide(stripped, superset, self, n, TieBreakMode::TotalOrder, {},
+                                  ProtocolMutant::None, grid.get());
+        const Decision b = decide(table, superset, self, n, TieBreakMode::TotalOrder, {},
+                                  ProtocolMutant::None, grid.get());
+        ASSERT_EQ(a.kind, b.kind);
+        ASSERT_EQ(a.winner, b.winner);
+      }
+    }
+  }
+}
+
+TEST(DoneFree, StrippingLearnedIdsAndStrippedMergesMatchAFullStrip) {
+  sim::Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    GroupLockTable held;
+    for (int k = 0; k < 6; ++k) {
+      held[static_cast<shard::GroupId>(rng.bounded(3))]
+          [static_cast<net::NodeId>(rng.bounded(6))] = random_snapshot(rng);
+    }
+    LockTable incoming;
+    for (int k = 0; k < 4; ++k) {
+      incoming[static_cast<net::NodeId>(rng.bounded(6))] = random_snapshot(rng);
+    }
+    DoneSet ual;
+    for (int k = 0; k < 6; ++k) ual.insert(random_id(rng));
+    // The reference: merge everything unstripped, then strip it all.
+    GroupLockTable expected = held;
+    merge_lock_tables(expected[0], incoming);
+    for (auto& [group, servers] : expected) {
+      for (auto& [node, snapshot] : servers) strip_done(snapshot, ual);
+    }
+    // The agent path: strip the learned ids, then merge stripping adoptions.
+    const std::vector<agent::AgentId> learned(ual.begin(), ual.end());
+    strip_done(held, learned);
+    merge_lock_tables(held[0], incoming, &ual);
+    ASSERT_EQ(held.size(), expected.size());
+    for (const auto& [group, servers] : expected) {
+      ASSERT_EQ(held.at(group).size(), servers.size());
+      for (const auto& [node, snapshot] : servers) {
+        EXPECT_EQ(held.at(group).at(node).agents, snapshot.agents);
+        EXPECT_EQ(held.at(group).at(node).observed_us, snapshot.observed_us);
       }
     }
   }

@@ -3,23 +3,31 @@
 // the same agent migration frames, in the same order and at the same virtual
 // times, and the same commit log and final stores as the pinned digests.
 //
-// The agent-state containers (UAL, Locking Tables, Updated Lists) and the
-// frame codec are free to change representation, but not a single serialized
-// byte or scheduled event: migration latency is charged per byte, so any
-// byte drift would also move the simulated schedule. The pinned values were
-// recorded from the std::set/std::map implementation of those containers.
+// Migration latency is charged per byte, so the frame bytes also fix the
+// simulated schedule: any change to what an agent carries or how it is
+// coded moves these digests, and must re-pin them on purpose. They were last
+// pinned when agents began to carry done-free Locking Tables (no snapshot
+// lists a member of the carrier's UAL) in a dictionary-coded frame.
+//
+// The same run also checks the done-free invariant on every decoded frame,
+// and feeds frames it captured to a seeded mutation loop: bit flips,
+// truncations, length-field lies and splices must each decode or be a typed
+// serial::DecodeError rejection, never anything else.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "agent/platform.hpp"
 #include "marp/protocol.hpp"
+#include "marp/update_agent.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
 
@@ -53,10 +61,14 @@ class Fnv1a64 {
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
+/// Called with every migration frame and the platform that encoded it.
+using FrameSink = std::function<void(const agent::AgentPlatform&, const serial::Bytes&)>;
+
 /// Digests every migration frame with its start time, endpoints and bytes.
 class FrameDigest final : public agent::PlatformObserver {
  public:
-  explicit FrameDigest(sim::Simulator& sim) : sim_(sim) {}
+  FrameDigest(sim::Simulator& sim, const agent::AgentPlatform& platform, FrameSink sink)
+      : sim_(sim), platform_(platform), sink_(std::move(sink)) {}
 
   void on_migration_started(const agent::AgentId& /*id*/, net::NodeId from,
                             net::NodeId to, std::size_t bytes) override {
@@ -71,6 +83,7 @@ class FrameDigest final : public agent::PlatformObserver {
     hash_.bytes(frame.data(), frame.size());
     ++frames_;
     frame_bytes_ += frame.size();
+    if (sink_) sink_(platform_, frame);
   }
 
   std::uint64_t digest() const noexcept { return hash_.value(); }
@@ -79,6 +92,8 @@ class FrameDigest final : public agent::PlatformObserver {
 
  private:
   sim::Simulator& sim_;
+  const agent::AgentPlatform& platform_;
+  FrameSink sink_;
   Fnv1a64 hash_;
   std::uint64_t frames_ = 0;
   std::uint64_t frame_bytes_ = 0;
@@ -111,7 +126,7 @@ struct Outcome {
   std::uint64_t completed = 0;
 };
 
-Outcome run_contended(std::uint64_t seed) {
+Outcome run_contended(std::uint64_t seed, FrameSink sink = {}) {
   sim::Simulator sim(seed);
   net::Topology topology = net::make_lan_mesh(kServers, sim::SimTime::millis(2));
   net::Network network(sim, topology,
@@ -123,7 +138,7 @@ Outcome run_contended(std::uint64_t seed) {
   workload::RequestGenerator generator(
       sim, kServers, contended_workload(),
       [&](const replica::Request& r) { protocol.submit(r); });
-  FrameDigest frames(sim);
+  FrameDigest frames(sim, platform, std::move(sink));
   platform.set_observer(&frames);
   generator.start();
   sim.run(sim::SimTime::seconds(60));
@@ -172,10 +187,124 @@ TEST(WireIdentity, ContendedScenarioMatchesPinnedDigests) {
   EXPECT_GT(out.commits, 0u);
   EXPECT_GT(out.frames, out.commits);
 
-  EXPECT_EQ(out.frames, 1882u);
-  EXPECT_EQ(out.frame_bytes, 1950767u);
-  EXPECT_EQ(out.frame_digest, 0x42bd7883979bffcfULL);
-  EXPECT_EQ(out.state_digest, 0x75b4f7d5e8d97b70ULL);
+  // Before done-free, dictionary-coded frames: 1882 frames, 1950767 B.
+  EXPECT_EQ(out.frames, 1871u);
+  EXPECT_EQ(out.frame_bytes, 985936u);
+  EXPECT_EQ(out.frame_digest, 0xc5768184075508feULL);
+  EXPECT_EQ(out.state_digest, 0x54fac9a84d1a3486ULL);
+}
+
+TEST(DoneFree, NoCarriedSnapshotListsAUalMemberAtAnyMigration) {
+  std::uint64_t frames = 0;
+  std::uint64_t carried_entries = 0;
+  std::uint64_t violations = 0;
+  const Outcome out = run_contended(20261019, [&](const agent::AgentPlatform& platform,
+                                                  const serial::Bytes& frame) {
+    const auto agent = platform.decode_frame(frame);
+    const auto* update = dynamic_cast<const core::UpdateAgent*>(agent.get());
+    if (update == nullptr) return;
+    ++frames;
+    for (const auto& [group, servers] : update->lock_tables()) {
+      for (const auto& [node, snapshot] : servers) {
+        for (const agent::AgentId& id : snapshot.agents) {
+          ++carried_entries;
+          if (update->updated_agents().contains(id)) ++violations;
+        }
+      }
+    }
+  });
+  EXPECT_EQ(out.completed, out.generated);
+  EXPECT_EQ(frames, out.frames);
+  EXPECT_GT(carried_entries, frames);  // the tables really were carried
+  EXPECT_EQ(violations, 0u);
+}
+
+/// Mutants of `frame`: one of a bit flip, a truncation, a length-field lie
+/// (a large varint written over a random position) or a splice with
+/// `other`. Half of them mutate the agent state inside an honest frame
+/// header, so the state decoder sees the damage rather than the framing.
+serial::Bytes mutate(const serial::Bytes& frame, const serial::Bytes& other, sim::Rng& rng) {
+  serial::Reader header(frame);
+  const std::string type = header.str();
+  const agent::AgentId id = agent::AgentId::deserialize(header);
+  const bool inner = rng.bounded(2) == 0;
+  serial::Bytes bytes = inner ? header.raw() : frame;
+  if (bytes.empty()) bytes.push_back(0);
+  switch (rng.bounded(4)) {
+    case 0: {
+      const std::size_t flips = 1 + rng.bounded(4);
+      for (std::size_t k = 0; k < flips; ++k) {
+        bytes[rng.bounded(bytes.size())] ^= static_cast<std::uint8_t>(1u << rng.bounded(8));
+      }
+      break;
+    }
+    case 1:
+      bytes.resize(rng.bounded(bytes.size()));
+      break;
+    case 2: {
+      serial::Writer lie;
+      lie.varint(std::uint64_t{1} << (7 + rng.bounded(57)));
+      const std::size_t at = rng.bounded(bytes.size());
+      bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(at));
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), lie.bytes().begin(),
+                   lie.bytes().end());
+      break;
+    }
+    default: {
+      const std::size_t keep = rng.bounded(bytes.size());
+      const std::size_t from = rng.bounded(other.size());
+      bytes.resize(keep);
+      bytes.insert(bytes.end(), other.begin() + static_cast<std::ptrdiff_t>(from), other.end());
+      break;
+    }
+  }
+  if (!inner) return bytes;
+  serial::Writer w;
+  w.str(type);
+  id.serialize(w);
+  w.raw(bytes);
+  return w.take();
+}
+
+TEST(HostileAgentFrame, SeededMutantsOfContendedFramesAreTypedRejections) {
+  // Capture every 16th migration frame of the contended run: agents early
+  // and late in their tours, with few and many carried snapshots.
+  std::vector<serial::Bytes> captured;
+  std::uint64_t seen = 0;
+  const Outcome out = run_contended(7, [&](const agent::AgentPlatform&, const serial::Bytes& frame) {
+    if (seen++ % 16 == 0) captured.push_back(frame);
+  });
+  ASSERT_GT(out.commits, 0u);
+  ASSERT_GE(captured.size(), 32u);
+
+  // A platform to decode with (the decoder needs only the registry).
+  sim::Simulator sim(1);
+  net::Topology topology = net::make_lan_mesh(kServers, sim::SimTime::millis(2));
+  net::Network network(sim, topology,
+                       std::make_unique<net::LanLatency>(topology.delays, 500.0, 12.5));
+  agent::AgentPlatform platform(network);
+  core::MarpProtocol protocol(network, platform, contended_config());
+
+  sim::Rng rng(0x5EED);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int k = 0; k < 4000; ++k) {
+    const serial::Bytes& frame = captured[rng.bounded(captured.size())];
+    const serial::Bytes& other = captured[rng.bounded(captured.size())];
+    const serial::Bytes mutant = mutate(frame, other, rng);
+    try {
+      const auto agent = platform.decode_frame(mutant);
+      // Whatever decodes must also encode again.
+      EXPECT_FALSE(platform.encode_frame(*agent).empty());
+      ++decoded;
+    } catch (const serial::DecodeError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << k << ": untyped rejection: " << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + rejected, 4000u);
+  EXPECT_GT(rejected, 1000u);  // the loop reaches the decoder's rejections
 }
 
 TEST(WireIdentity, SameSeedReproducesTheDigests) {
